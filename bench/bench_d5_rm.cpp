@@ -78,8 +78,7 @@ DecisionPoint decision_cost(std::size_t jobs) {
   const std::vector<rm::JobSpec> specs = workload::make_multi_user_trace(tc, 42);
 
   des::Engine engine;
-  rm::RmConfig cfg;
-  cfg.backfill = true;  // EASY, default rate limit
+  rm::RmConfig cfg;  // EASY, default rate limit
   rm::ResourceManager manager(engine, kNodes, cfg);
   for (const rm::JobSpec& s : specs) manager.submit(s);
 
@@ -146,7 +145,6 @@ CrashResult crashy_run(std::uint64_t seed) {
   fault::Injector injector(engine, net);
 
   rm::RmConfig cfg;
-  cfg.backfill = true;
   cfg.backfill_interval = 15.0;
   rm::ResourceManager manager(engine, topo, cfg);
   manager.attach_injector(injector);

@@ -1,45 +1,53 @@
 // Operating a 1024-node commodity cluster: resource management and fault
 // recovery working together.
 //
-// Generates a synthetic month of job submissions, schedules it under FCFS
-// and EASY backfill, then asks what the machine's failure behaviour means
-// for its biggest jobs — system MTBF, detector settings, and the Daly
-// checkpoint interval those jobs should use.
+// Generates a synthetic month of job submissions, schedules it through
+// rm::ResourceManager under FCFS, SJF and EASY backfill, then asks what
+// the machine's failure behaviour means for its biggest jobs — system
+// MTBF, detector settings, and the Daly checkpoint interval those jobs
+// should use.
 //
 //   ./cluster_operations
 #include <cmath>
 #include <cstdio>
 #include <iostream>
 
+#include "polaris/des/engine.hpp"
 #include "polaris/fault/checkpoint.hpp"
 #include "polaris/fault/detector.hpp"
 #include "polaris/fault/failure.hpp"
-#include "polaris/sched/scheduler.hpp"
-#include "polaris/sched/trace.hpp"
+#include "polaris/rm/manager.hpp"
 #include "polaris/support/table.hpp"
 #include "polaris/support/units.hpp"
+#include "polaris/workload/job_mix.hpp"
 
 int main() {
   using namespace polaris;
   constexpr std::size_t kNodes = 1024;
 
   // -- resource management ---------------------------------------------------
-  sched::TraceConfig cfg;
+  workload::MultiUserTraceConfig cfg;
   cfg.jobs = 8000;
+  cfg.users = 1;
+  cfg.accounts = 1;
   cfg.max_width_exp = 9;  // jobs up to 512 nodes
   cfg.mean_interarrival = 1900.0;  // offered load ~0.85
-  auto trace = sched::generate_trace(cfg, 2002);
+  const auto trace = workload::make_multi_user_trace(cfg, 2002);
   std::printf("synthetic trace: %zu jobs, offered load %.2f on %zu nodes\n\n",
-              trace.size(), sched::offered_load(trace, kNodes), kNodes);
+              trace.size(), workload::offered_load(trace, kNodes), kNodes);
 
   support::Table st("scheduling policies on the same trace");
   st.header({"policy", "utilization", "mean wait", "p95 wait",
              "mean bounded slowdown", "backfilled"});
-  for (auto policy : {sched::Policy::kFcfs, sched::Policy::kSjf,
-                      sched::Policy::kEasyBackfill}) {
-    auto jobs = trace;
-    const auto m = sched::run_scheduler(jobs, kNodes, policy);
-    st.add(sched::to_string(policy),
+  for (auto policy :
+       {rm::Policy::kFcfs, rm::Policy::kSjf, rm::Policy::kEasyBackfill}) {
+    des::Engine engine;
+    rm::ResourceManager manager(engine, kNodes,
+                                rm::RmConfig::textbook(policy));
+    for (const rm::JobSpec& j : trace) manager.submit(j);
+    engine.run();
+    const auto m = manager.summary();
+    st.add(rm::to_string(policy),
            support::Table::to_cell(m.utilization),
            support::format_time(m.mean_wait),
            support::format_time(m.p95_wait),

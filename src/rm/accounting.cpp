@@ -49,13 +49,12 @@ void AccountingStore::on_start(JobId id, double at) {
   r->state = JobState::kRunning;
 }
 
-void AccountingStore::on_requeue(JobId id, double at) {
+void AccountingStore::on_requeue(JobId id, double at, double saved) {
   JobRecord* r = record_for(id);
   POLARIS_CHECK(r->state == JobState::kRunning && r->start >= 0.0);
-  const double wasted = (at - r->start) * r->width;
-  r->wasted_node_seconds += wasted;
-  // The aborted run still consumed the machine: charge it.
-  charge(r->user, r->account, wasted, at);
+  r->wasted_node_seconds += (at - r->start - saved) * r->width;
+  // The aborted run still consumed the machine: charge all of it.
+  charge(r->user, r->account, (at - r->start) * r->width, at);
   r->start = -1.0;
   r->state = JobState::kPending;
   ++r->requeues;

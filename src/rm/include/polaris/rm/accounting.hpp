@@ -58,8 +58,9 @@ class AccountingStore {
   // --- lifecycle recording (called by the resource manager) ---
   void on_submit(const JobSpec& spec);
   void on_start(JobId id, double at);
-  /// Preemption or node-failure requeue: charges the partial run as waste.
-  void on_requeue(JobId id, double at);
+  /// Preemption or node-failure requeue: charges the partial run as waste,
+  /// less the `saved` seconds of it that completed checkpoints keep.
+  void on_requeue(JobId id, double at, double saved = 0.0);
   void on_complete(JobId id, double at);
   void on_cancel(JobId id, double at);
 

@@ -3,9 +3,8 @@
 // The ResourceManager is a DES *service*: submissions, completions,
 // reservations, backfill cycles and fault notifications are all engine
 // events, so scheduling interleaves with everything else in the simulated
-// machine (fabric traffic, heartbeats, fault injection) instead of running
-// in the detached analytic loop of sched::Simulator.  The architecture is
-// SLURM-shaped:
+// machine (fabric traffic, heartbeats, fault injection).  The architecture
+// is SLURM-shaped:
 //
 //  - Placement: jobs receive contiguous blocks of the real fabric from a
 //    buddy BlockAllocator over a locality-preserving linearization
@@ -14,17 +13,19 @@
 //    job slab, with a tier-occupancy bitmask — push, pop and
 //    highest-nonempty are O(1).  Fair share (decayed per-user usage from
 //    the AccountingStore) maps into sub-tiers below the base priority.
+//    Under SJF each tier is kept in estimate order instead (O(tier) insert).
 //  - Starting: an O(1)-per-job quick-start pass pops queue heads while
 //    they fit; a *rate-limited* backfill cycle (EASY shadow from the
-//    incrementally-maintained PlanningTimeline, or conservative with a
-//    cycle-local profile) handles out-of-order starts.  Rate limiting is
-//    what keeps the per-job-event decision cost flat at 10^6 queued jobs:
-//    dirty events within `backfill_interval` of the last cycle coalesce
-//    into one deferred timer instead of each rescanning the queue.
+//    incrementally-maintained PlanningTimeline, conservative with a
+//    cycle-local profile, or SJF with no reservation at all) handles
+//    out-of-order starts.  Rate limiting is what keeps the per-job-event
+//    decision cost flat at 10^6 queued jobs: dirty events within
+//    `backfill_interval` of the last cycle coalesce into one deferred timer
+//    instead of each rescanning the queue.
 //  - Preemption: a high-tier head job may evict lower-tier preemptible
-//    running jobs (restart semantics: the partial run is accounted as
-//    wasted node-seconds and the victim requeues at the front of its
-//    tier).
+//    running jobs (the victim keeps its checkpointed work, the rest is
+//    accounted as wasted node-seconds, and it requeues at the front of
+//    its tier).
 //  - Reservations: advance windows [start, end) of guaranteed width.
 //    Before the window opens, jobs whose planned end crosses the start
 //    must leave the width free; at open the manager takes a hold on the
@@ -33,9 +34,9 @@
 //    job (requeue, front of tier), drains the node, and triggers
 //    replacement allocation; repair undrains and wakes the queue.
 //
-// With RmConfig::legacy_fcfs() (single tier, flat order, no backfill) the
-// manager reproduces sched::Simulator's FCFS schedule job-for-job — the
-// equivalence is pinned by tests/rm.
+// With RmConfig::textbook(policy) (one tier, flat order, a backfill cycle
+// on every event over the whole queue) the manager reproduces the analytic
+// reference scheduler in tests/rm job-for-job under all four policies.
 #pragma once
 
 #include <array>
@@ -63,10 +64,7 @@ struct RmConfig {
   };
   Placement placement = Placement::kTopology;
 
-  bool backfill = true;
-  /// false = EASY (protect the head job only); true = conservative (every
-  /// scanned job gets a planned start no later pass may delay).
-  bool conservative = false;
+  Policy policy = Policy::kEasyBackfill;
   /// Queue prefix scanned per backfill cycle (SLURM bf_max_job_test).
   std::uint32_t backfill_depth = 256;
   /// Minimum sim-seconds between backfill cycles; dirty events in between
@@ -84,16 +82,16 @@ struct RmConfig {
   std::uint32_t fairshare_tiers = 4;
   double fairshare_halflife = 7 * 24 * 3600.0;
 
-  /// The configuration under which the manager reproduces the legacy
-  /// sched::Simulator FCFS schedule job-for-job.
-  static RmConfig legacy_fcfs() {
+  /// The textbook scheduler: flat placement, one tier, and no rate limit
+  /// or depth bound on backfill, so every event reconsiders the whole
+  /// queue under `policy`.
+  static RmConfig textbook(Policy policy) {
     RmConfig c;
     c.placement = Placement::kFlat;
-    c.backfill = false;
-    c.preemption = false;
-    c.fair_share = false;
+    c.policy = policy;
+    c.backfill_depth = std::numeric_limits<std::uint32_t>::max();
+    c.backfill_interval = 0.0;
     c.priority_tiers = 1;
-    c.fairshare_tiers = 1;
     return c;
   }
 };
@@ -148,10 +146,11 @@ class ResourceManager final : public fault::FaultListener {
     std::uint64_t preemptions = 0;
     std::uint64_t requeues = 0;
     std::uint64_t fragmented_allocs = 0;
-    double makespan = 0.0;
+    double makespan = 0.0;  ///< first submission to last finish
     double utilization = 0.0;
     double mean_wait = 0.0;
     double p95_wait = 0.0;
+    /// (finish - submit) / max(runtime, 10 s), clamped below at 1.
     double mean_bounded_slowdown = 0.0;
   };
   /// Aggregates over completed jobs (call after engine.run()).
@@ -172,6 +171,7 @@ class ResourceManager final : public fault::FaultListener {
     std::uint32_t next = kNilIndex;
     bool queued = false;
     double start = -1.0;
+    double remaining = 0.0;    ///< work seconds not yet checkpointed
     double planned_end = 0.0;  ///< timeline removal key
     des::EventId completion{};
     Allocation alloc;
@@ -203,8 +203,15 @@ class ResourceManager final : public fault::FaultListener {
   static void resv_end_cb(void* ctx);
 
   double now_s() const;
-  double planning_estimate(const JobSpec& spec) const {
-    return spec.estimate > 0.0 ? spec.estimate : spec.runtime;
+  /// Wall seconds per second of work: checkpoint writes stretch a run.
+  static double stretch(const JobSpec& spec) {
+    return spec.checkpoint_interval > 0.0
+               ? 1.0 + spec.checkpoint_cost / spec.checkpoint_interval
+               : 1.0;
+  }
+  static double planning_estimate(const JobSpec& spec) {
+    return (spec.estimate > 0.0 ? spec.estimate : spec.runtime) *
+           stretch(spec);
   }
   std::uint32_t compute_tier(const JobSpec& spec) const;
   /// Tier above every normal one, for jobs whose reservation window is open.
@@ -266,7 +273,6 @@ class ResourceManager final : public fault::FaultListener {
   std::uint64_t requeues_ = 0;
   std::uint64_t decision_passes_ = 0;
   std::uint64_t backfill_cycles_ = 0;
-  double last_finish_ = 0.0;
 
   obs::Gauge* g_queue_depth_ = nullptr;
   obs::Gauge* g_running_ = nullptr;

@@ -2,13 +2,13 @@
 //
 // The scheduler's forward-looking decisions (EASY head reservations,
 // conservative profiles) need the running jobs ordered by *planned*
-// completion — start + the user's wall-time estimate.  The legacy
-// sched::Simulator rebuilt that order with a copy-and-sort of the whole
-// running set on every decision; here the order is maintained
-// incrementally: one ordered insert when a job starts, one targeted erase
-// when it completes.  The vector is bounded by how many jobs fit on the
-// machine at once (not by queue depth), so both operations are cheap and
-// the per-event cost stays flat as the queue grows to 10^6 jobs.
+// completion — start + the user's wall-time estimate.  Instead of a
+// copy-and-sort of the whole running set on every decision, the order is
+// maintained incrementally: one ordered insert when a job starts, one
+// targeted erase when it completes.  The vector is bounded by how many
+// jobs fit on the machine at once (not by queue depth), so both operations
+// are cheap and the per-event cost stays flat as the queue grows to 10^6
+// jobs.
 #pragma once
 
 #include <algorithm>

@@ -10,11 +10,11 @@
 //      |                                             requeues+1)
 //      +<--------------------------------------------+
 //
-// Preemption and node-failure requeue are restart semantics: the job loses
-// its progress (accounted as wasted node-seconds) and runs its full
-// runtime again on the next allocation — the conservative model for
-// applications without checkpointing (polaris::fault::CheckpointModel
-// covers the other regime).
+// Preemption and node-failure requeue keep only the work a job has
+// checkpointed.  A job without checkpoints loses all its progress
+// (accounted as wasted node-seconds) and runs its full runtime again on the
+// next allocation.  A checkpointing job keeps every completed interval and
+// loses only the segment in progress.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +39,16 @@ enum class JobState : std::uint8_t {
 
 const char* to_string(JobState s);
 
+/// Queue discipline of the resource manager.
+enum class Policy {
+  kFcfs,          ///< strict queue order; the head blocks everyone behind it
+  kSjf,           ///< queue kept in estimate order; every job that fits starts
+  kEasyBackfill,  ///< backfill that never delays the head job's start
+  kConservative,  ///< backfill that delays no scanned job's planned start
+};
+
+const char* to_string(Policy p);
+
 /// A rigid parallel job as submitted.  `estimate` is the user wall-time
 /// request the scheduler plans with; `runtime` is what actually happens.
 struct JobSpec {
@@ -52,6 +62,11 @@ struct JobSpec {
   std::int32_t priority = 0;  ///< base priority; higher schedules first
   bool preemptible = true;
   ReservationId reservation = kNoReservation;  ///< run inside this window
+  /// Seconds of work between checkpoints; 0 = none (a requeue restarts
+  /// from scratch).  Each checkpoint takes `checkpoint_cost` seconds, so a
+  /// run lasts its work times (1 + checkpoint_cost / checkpoint_interval).
+  double checkpoint_interval = 0.0;
+  double checkpoint_cost = 0.0;
 };
 
 }  // namespace polaris::rm

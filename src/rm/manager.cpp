@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,20 @@
 #include "polaris/support/stats.hpp"
 
 namespace polaris::rm {
+
+const char* to_string(Policy p) {
+  switch (p) {
+    case Policy::kFcfs:
+      return "fcfs";
+    case Policy::kSjf:
+      return "sjf";
+    case Policy::kEasyBackfill:
+      return "easy-backfill";
+    case Policy::kConservative:
+      return "conservative";
+  }
+  return "?";
+}
 
 namespace {
 
@@ -128,6 +143,8 @@ std::uint32_t ResourceManager::compute_tier(const JobSpec& spec) const {
 
 void ResourceManager::submit(const JobSpec& spec) {
   POLARIS_CHECK(spec.width >= 1 && spec.width <= alloc_.node_count());
+  POLARIS_CHECK(spec.checkpoint_interval >= 0.0 &&
+                spec.checkpoint_cost >= 0.0);
   POLARIS_CHECK_MSG(job_index_.find(spec.id) == nullptr,
                     "rm: duplicate job id");
   if (spec.reservation != kNoReservation) {
@@ -138,6 +155,7 @@ void ResourceManager::submit(const JobSpec& spec) {
   RmJob& job = jobs_.back();
   job.spec = spec;
   job.slot = slot;
+  job.remaining = spec.runtime;
   job.rm = this;
   job_index_[spec.id] = slot;
   const des::SimTime at =
@@ -170,20 +188,32 @@ void ResourceManager::enqueue(RmJob& job, bool front) {
   POLARIS_CHECK(!job.queued);
   const std::uint32_t t = job.tier;
   job.queued = true;
-  job.prev = kNilIndex;
-  job.next = kNilIndex;
-  if (head_[t] == kNilIndex) {
-    head_[t] = tail_[t] = job.slot;
-    queue_mask_ |= 1ull << t;
-  } else if (front) {
-    job.next = head_[t];
-    jobs_[head_[t]].prev = job.slot;
-    head_[t] = job.slot;
+  // The job is linked in after `prev` (kNilIndex: at the head of the tier).
+  std::uint32_t prev = front ? kNilIndex : tail_[t];
+  if (cfg_.policy == Policy::kSjf) {
+    // Estimate order.  Among equal estimates an arrival goes last and a
+    // requeued job (`front`) first.
+    const double est = planning_estimate(job.spec);
+    prev = tail_[t];
+    while (prev != kNilIndex) {
+      const double other = planning_estimate(jobs_[prev].spec);
+      if (other < est || (other == est && !front)) break;
+      prev = jobs_[prev].prev;
+    }
+  }
+  job.prev = prev;
+  job.next = prev == kNilIndex ? head_[t] : jobs_[prev].next;
+  if (job.prev != kNilIndex) {
+    jobs_[job.prev].next = job.slot;
   } else {
-    job.prev = tail_[t];
-    jobs_[tail_[t]].next = job.slot;
+    head_[t] = job.slot;
+  }
+  if (job.next != kNilIndex) {
+    jobs_[job.next].prev = job.slot;
+  } else {
     tail_[t] = job.slot;
   }
+  queue_mask_ |= 1ull << t;
   ++pending_count_;
 }
 
@@ -265,7 +295,8 @@ void ResourceManager::start_job(RmJob& job, bool via_backfill) {
   job.planned_end = job.start + planning_estimate(job.spec);
   timeline_.add(job.planned_end, width, job.slot);
   job.completion = engine_->schedule_raw_after(
-      des::from_seconds(job.spec.runtime), &completion_cb, &job);
+      des::from_seconds(job.remaining * stretch(job.spec)), &completion_cb,
+      &job);
   acct_.on_start(job.spec.id, job.start);
   ++started_;
   ++running_count_;
@@ -293,7 +324,6 @@ void ResourceManager::finish_job(RmJob& job) {
   acct_.on_complete(job.spec.id, finish);
   ++completed_;
   --running_count_;
-  last_finish_ = std::max(last_finish_, finish);
   if (have_track_) {
     const des::SimTime start_tick = des::from_seconds(job.start);
     tracer_->complete_span(track_, "job " + std::to_string(job.spec.id), "rm",
@@ -308,7 +338,17 @@ void ResourceManager::requeue_job(RmJob& job, bool preempted) {
   timeline_.remove(job.slot, job.planned_end);
   alloc_.release(job.alloc);
   job.alloc.clear();
-  acct_.on_requeue(job.spec.id, now_s());
+  // Completed checkpoint intervals survive; the segment in progress is lost.
+  double saved = 0.0;
+  if (job.spec.checkpoint_interval > 0.0) {
+    const double segment =
+        job.spec.checkpoint_interval + job.spec.checkpoint_cost;
+    const double intervals = std::floor((now_s() - job.start) / segment);
+    saved = intervals * segment;
+    job.remaining = std::max(
+        job.remaining - intervals * job.spec.checkpoint_interval, 0.0);
+  }
+  acct_.on_requeue(job.spec.id, now_s(), saved);
   job.state = JobState::kPending;
   job.start = -1.0;
   --running_count_;
@@ -354,7 +394,7 @@ void ResourceManager::quick_start() {
 }
 
 void ResourceManager::maybe_backfill() {
-  if (!cfg_.backfill || queue_mask_ == 0) return;
+  if (cfg_.policy == Policy::kFcfs || queue_mask_ == 0) return;
   const des::SimTime interval = des::from_seconds(cfg_.backfill_interval);
   if (engine_->now() - last_backfill_tick_ >= interval) {
     backfill_cycle();
@@ -381,7 +421,7 @@ void ResourceManager::backfill_cycle() {
   if (queue_mask_ == 0) return;
   const double now = now_s();
 
-  if (cfg_.conservative) {
+  if (cfg_.policy == Policy::kConservative) {
     Profile prof(now, static_cast<double>(alloc_.free_count()),
                  timeline_.ends());
     const std::uint32_t head_slot = queue_head()->slot;
@@ -409,9 +449,15 @@ void ResourceManager::backfill_cycle() {
   }
 
   // EASY: protect only the head job — its shadow start must not move.
+  // SJF reserves nothing for the head, so every job that fits starts.
   RmJob* head = queue_head();
-  const PlanningTimeline::Shadow shadow = timeline_.shadow_for(
-      head->spec.width, static_cast<std::uint32_t>(alloc_.free_count()));
+  const PlanningTimeline::Shadow shadow =
+      cfg_.policy == Policy::kSjf
+          ? PlanningTimeline::Shadow{std::numeric_limits<double>::infinity(),
+                                     0}
+          : timeline_.shadow_for(
+                head->spec.width,
+                static_cast<std::uint32_t>(alloc_.free_count()));
   std::uint32_t extra = shadow.extra;
   std::uint32_t scanned = 0;
   for (int t = kMaxTiers - 1; t >= 0 && scanned < cfg_.backfill_depth; --t) {
@@ -617,17 +663,22 @@ ResourceManager::Summary ResourceManager::summary() const {
   support::Summary waits;
   double slowdown_sum = 0.0;
   double node_seconds = 0.0;
+  double first_submit = std::numeric_limits<double>::infinity();
+  double last_finish = 0.0;
   for (const JobRecord& r : acct_.query({})) {
     ++s.jobs;
+    first_submit = std::min(first_submit, r.submit);
     if (r.state != JobState::kCompleted) continue;
     ++s.completed;
     waits.add(r.start - r.submit);
     const double runtime = r.finish - r.start;
-    slowdown_sum += (r.finish - r.submit) / std::max(runtime, 10.0);
+    slowdown_sum +=
+        std::max(1.0, (r.finish - r.submit) / std::max(runtime, 10.0));
     node_seconds += runtime * r.width;
-    s.makespan = std::max(s.makespan, r.finish);
+    last_finish = std::max(last_finish, r.finish);
   }
   if (s.completed > 0) {
+    s.makespan = last_finish - first_submit;
     s.mean_wait = waits.mean();
     s.p95_wait = waits.percentile(95.0);
     s.mean_bounded_slowdown =

@@ -1,10 +1,8 @@
 // Descriptive statistics used throughout experiments: streaming moments
-// (Welford), percentile summaries, and fixed-bin histograms.
+// (Welford) and percentile summaries.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace polaris::support {
@@ -55,39 +53,6 @@ class Summary {
 
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-width or logarithmic histogram.
-class Histogram {
- public:
-  /// Linear bins covering [lo, hi) with `bins` buckets plus under/overflow.
-  static Histogram linear(double lo, double hi, std::size_t bins);
-  /// Log2 bins: bucket i covers [lo*2^i, lo*2^(i+1)).
-  static Histogram log2(double lo, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const;
-  /// Inclusive lower edge of a bin.
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
-  /// Renders a compact ASCII bar chart (for example programs).
-  std::string ascii(std::size_t width = 40) const;
-
- private:
-  Histogram() = default;
-
-  bool logarithmic_ = false;
-  double lo_ = 0.0;
-  double width_ = 1.0;  // linear: bin width; log: unused
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
 };
 
 }  // namespace polaris::support

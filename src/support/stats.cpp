@@ -97,78 +97,4 @@ double Summary::percentile(double p) const {
   return samples_[lo] + frac * (samples_[lo + 1] - samples_[lo]);
 }
 
-Histogram Histogram::linear(double lo, double hi, std::size_t bins) {
-  POLARIS_CHECK(hi > lo && bins > 0);
-  Histogram h;
-  h.logarithmic_ = false;
-  h.lo_ = lo;
-  h.width_ = (hi - lo) / static_cast<double>(bins);
-  h.counts_.assign(bins, 0);
-  return h;
-}
-
-Histogram Histogram::log2(double lo, std::size_t bins) {
-  POLARIS_CHECK(lo > 0.0 && bins > 0);
-  Histogram h;
-  h.logarithmic_ = true;
-  h.lo_ = lo;
-  h.counts_.assign(bins, 0);
-  return h;
-}
-
-void Histogram::add(double x, std::uint64_t weight) {
-  if (x < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  std::size_t bin;
-  if (logarithmic_) {
-    bin = static_cast<std::size_t>(std::floor(std::log2(x / lo_)));
-  } else {
-    bin = static_cast<std::size_t>((x - lo_) / width_);
-  }
-  if (bin >= counts_.size()) {
-    overflow_ += weight;
-  } else {
-    counts_[bin] += weight;
-  }
-}
-
-std::uint64_t Histogram::total() const {
-  std::uint64_t t = underflow_ + overflow_;
-  for (auto c : counts_) t += c;
-  return t;
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  POLARIS_CHECK(bin < counts_.size());
-  if (logarithmic_) return lo_ * std::pow(2.0, static_cast<double>(bin));
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  POLARIS_CHECK(bin < counts_.size());
-  if (logarithmic_) return lo_ * std::pow(2.0, static_cast<double>(bin + 1));
-  return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%12.4g | ", bin_lo(i));
-    out += buf;
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    out.append(bar, '#');
-    out += " ";
-    out += std::to_string(counts_[i]);
-    out += "\n";
-  }
-  return out;
-}
-
 }  // namespace polaris::support

@@ -6,10 +6,13 @@
 // a skewed population of users (a few heavy submitters, a long tail)
 // grouped into accounts, per-job base priorities, and a preemptible flag.
 //
+// With one user, no priorities and every job preemptible, the trace is the
+// plain Feitelson stream: a draw is taken only for a field that can vary.
+//
 // `integral_times` rounds every submit/runtime/estimate to whole seconds.
-// That makes the seconds -> engine-tick conversion exact, which is what
-// lets tests assert job-for-job equality between the tick-driven
-// ResourceManager and the double-driven legacy sched::Simulator.
+// That makes the seconds -> engine-tick conversion exact, so tests can
+// compare the tick-driven ResourceManager with a double-driven reference
+// at tick resolution.
 #pragma once
 
 #include <cstdint>

@@ -36,9 +36,11 @@ std::vector<rm::JobSpec> make_multi_user_trace(
     t += rng.exponential(1.0 / config.mean_interarrival);
     rm::JobSpec j;
     j.id = i;
-    const double pick = rng.uniform(0.0, total);
-    j.user = static_cast<rm::UserId>(
-        std::lower_bound(cum.begin(), cum.end(), pick) - cum.begin());
+    if (config.users > 1) {
+      const double pick = rng.uniform(0.0, total);
+      j.user = static_cast<rm::UserId>(
+          std::lower_bound(cum.begin(), cum.end(), pick) - cum.begin());
+    }
     j.account = j.user % config.accounts;
     j.submit = t;
     if (rng.bernoulli(config.p_power_of_two)) {
@@ -55,7 +57,9 @@ std::vector<rm::JobSpec> make_multi_user_trace(
       j.priority = static_cast<std::int32_t>(
           rng.uniform_int(0, config.priority_levels - 1));
     }
-    j.preemptible = rng.bernoulli(config.p_preemptible);
+    if (config.p_preemptible < 1.0) {
+      j.preemptible = rng.bernoulli(config.p_preemptible);
+    }
     if (config.integral_times) {
       j.submit = std::floor(j.submit);
       j.runtime = std::max(1.0, std::floor(j.runtime));

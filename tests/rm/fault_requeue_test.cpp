@@ -1,6 +1,7 @@
 // Fault integration: node crashes flow from the Injector (or the direct
 // node_failed API) into the resource manager, which requeues the owning
-// job, drains the node, and re-places the work once capacity returns.
+// job, drains the node, and re-places the work once capacity returns.  A
+// checkpointing job keeps its completed intervals across the requeue.
 // Same-seed reruns must produce byte-identical accounting ledgers.
 #include <gtest/gtest.h>
 
@@ -27,7 +28,7 @@ TEST(FaultRequeueTest, CrashRequeuesOwningJobUntilRepair) {
   fault::Injector injector(engine, net);
 
   RmConfig cfg;
-  cfg.backfill = false;
+  cfg.policy = Policy::kFcfs;
   ResourceManager rm(engine, topo, cfg);
   rm.attach_injector(injector);
 
@@ -83,7 +84,7 @@ struct NodeEvent {
 
 TEST(FaultRequeueTest, DirectNodeFailedApiWithoutInjector) {
   des::Engine engine;
-  ResourceManager rm(engine, 8, RmConfig::legacy_fcfs());
+  ResourceManager rm(engine, 8, RmConfig::textbook(Policy::kFcfs));
   JobSpec s;
   s.id = 1;
   s.submit = 0.0;
@@ -108,13 +109,64 @@ TEST(FaultRequeueTest, DirectNodeFailedApiWithoutInjector) {
   EXPECT_EQ(rm.allocator().drained_count(), 0u);
 }
 
+TEST(FaultRequeueTest, CheckpointedJobKeepsCompletedIntervals) {
+  des::Engine engine;
+  ResourceManager rm(engine, 1, RmConfig::textbook(Policy::kFcfs));
+  JobSpec s;
+  s.id = 1;
+  s.runtime = 1000.0;
+  s.estimate = 1000.0;
+  s.checkpoint_interval = 100.0;
+  s.checkpoint_cost = 10.0;  // the run lasts 1000 * 1.1 = 1100 s
+  rm.submit(s);
+
+  NodeEvent ev{&rm, 0};
+  engine.schedule_raw_at(des::from_seconds(250.0), &NodeEvent::fail_cb, &ev);
+  engine.schedule_raw_at(des::from_seconds(300.0), &NodeEvent::repair_cb,
+                         &ev);
+  engine.run();
+
+  const JobRecord* rec = rm.accounting().find(1);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->state, JobState::kCompleted);
+  EXPECT_EQ(rec->requeues, 1u);
+  // Two 110 s segments were saved by t=250; the 30 s after them are lost.
+  EXPECT_NEAR(rec->wasted_node_seconds, 30.0, 1e-9);
+  // The remaining 800 s of work take 880 s from the repair at t=300.
+  EXPECT_EQ(ticks(rec->start), ticks(300.0));
+  EXPECT_EQ(ticks(rec->finish), ticks(1180.0));
+}
+
+TEST(FaultRequeueTest, SjfVictimResumesAheadOfEqualEstimates) {
+  // Under SJF a requeued job returns in estimate order, ahead of the
+  // waiting jobs whose estimate equals its own.
+  des::Engine engine;
+  ResourceManager rm(engine, 1, RmConfig::textbook(Policy::kSjf));
+  for (JobId id = 0; id < 2; ++id) {
+    JobSpec s;
+    s.id = id;
+    s.submit = static_cast<double>(id);
+    s.runtime = 100.0;
+    s.estimate = 100.0;
+    rm.submit(s);
+  }
+
+  NodeEvent ev{&rm, 0};
+  engine.schedule_raw_at(des::from_seconds(50.0), &NodeEvent::fail_cb, &ev);
+  engine.schedule_raw_at(des::from_seconds(60.0), &NodeEvent::repair_cb, &ev);
+  engine.run();
+
+  EXPECT_EQ(ticks(rm.accounting().find(0)->start), ticks(60.0));
+  EXPECT_EQ(ticks(rm.accounting().find(1)->start), ticks(160.0));
+}
+
 TEST(FaultRequeueTest, PermanentCrashDrainsNodeForGood) {
   des::Engine engine;
   fabric::Torus2D topo(4, 4);
   fabric::SimNetwork net(engine, fabric::fabrics::myrinet2000(), topo);
   fault::Injector injector(engine, net);
   RmConfig cfg;
-  cfg.backfill = false;
+  cfg.policy = Policy::kFcfs;
   ResourceManager rm(engine, topo, cfg);
   rm.attach_injector(injector);
 
@@ -155,7 +207,6 @@ RunResult crashy_run(std::uint64_t seed) {
   fault::Injector injector(engine, net);
 
   RmConfig cfg;
-  cfg.backfill = true;
   cfg.backfill_interval = 15.0;
   ResourceManager rm(engine, topo, cfg);
   rm.attach_injector(injector);

@@ -107,53 +107,5 @@ TEST(Summary, AddAfterPercentileResorts) {
   EXPECT_DOUBLE_EQ(s.min(), 0.0);
 }
 
-TEST(Histogram, LinearBinning) {
-  auto h = Histogram::linear(0.0, 10.0, 10);
-  h.add(0.0);
-  h.add(0.999);
-  h.add(5.0);
-  h.add(9.999);
-  h.add(-1.0);  // underflow
-  h.add(10.0);  // overflow (hi edge is exclusive)
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(5), 1u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 6u);
-}
-
-TEST(Histogram, Log2Binning) {
-  auto h = Histogram::log2(1.0, 10);  // bins [1,2) [2,4) [4,8) ...
-  h.add(1.0);
-  h.add(1.9);
-  h.add(2.0);
-  h.add(7.9);
-  h.add(512.0);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 16.0);
-}
-
-TEST(Histogram, WeightedAdd) {
-  auto h = Histogram::linear(0.0, 4.0, 4);
-  h.add(1.5, 10);
-  EXPECT_EQ(h.count(1), 10u);
-  EXPECT_EQ(h.total(), 10u);
-}
-
-TEST(Histogram, AsciiRendersBars) {
-  auto h = Histogram::linear(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.5);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-  EXPECT_NE(art.find('\n'), std::string::npos);
-}
-
 }  // namespace
 }  // namespace polaris::support

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <queue>
+#include <tuple>
 #include <unordered_map>
 
 #include "polaris/des/time.hpp"
@@ -37,9 +38,16 @@ CriticalPath TraceAnalysis::critical_path(std::string_view process) const {
   if (idx.empty()) return path;
 
   // Latest end first; the prefix of this order is "every span still running
-  // at or after time t" as the backward walk lowers t.
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return events_[a].end_ns() > events_[b].end_ns();
+  // at or after time t" as the backward walk lowers t.  Ties here and in
+  // the heap below break on content, then on position within a track
+  // (snapshot() lists each track in record order), so the path does not
+  // depend on how the event vector interleaves tracks.
+  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    const TraceEvent& x = events_[a];
+    const TraceEvent& y = events_[b];
+    if (x.end_ns() != y.end_ns()) return x.end_ns() > y.end_ns();
+    if (x.start_ns != y.start_ns) return x.start_ns < y.start_ns;
+    return x.track < y.track;
   });
   std::int64_t t_begin = events_[idx[0]].start_ns;
   for (const std::size_t i : idx) {
@@ -52,22 +60,24 @@ CriticalPath TraceAnalysis::critical_path(std::string_view process) const {
   // earliest start (largest coverage); with none active it jumps across the
   // instrumentation gap to the latest span that ended before t.  Each span
   // is consumed at most once, so the walk is O(n log n).
-  using StartKey = std::pair<std::int64_t, std::size_t>;
+  // (start, -duration, track, index): earliest start, longer span first.
+  using StartKey = std::tuple<std::int64_t, std::int64_t, TrackId, std::size_t>;
   std::priority_queue<StartKey, std::vector<StartKey>, std::greater<>> active;
   std::size_t q = 0;  // prefix boundary into idx (spans with end >= t)
   std::int64_t t = t_end;
   std::int64_t covered_total = 0;
   while (t > t_begin) {
     while (q < idx.size() && events_[idx[q]].end_ns() >= t) {
-      active.emplace(events_[idx[q]].start_ns, idx[q]);
+      const TraceEvent& ev = events_[idx[q]];
+      active.emplace(ev.start_ns, ev.start_ns - ev.end_ns(), ev.track, idx[q]);
       ++q;
     }
     // Entries whose start has caught up with t can never be active again.
-    while (!active.empty() && active.top().first >= t) active.pop();
+    while (!active.empty() && std::get<0>(active.top()) >= t) active.pop();
 
     std::size_t chosen;
     if (!active.empty()) {
-      chosen = active.top().second;
+      chosen = std::get<3>(active.top());
       active.pop();
     } else if (q < idx.size()) {
       chosen = idx[q];  // latest end < t; re-enters the prefix as spent

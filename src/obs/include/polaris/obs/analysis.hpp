@@ -48,10 +48,12 @@ struct CriticalPath {
 
 class TraceAnalysis {
  public:
-  /// Snapshots the tracer's events; the tracer may keep recording.
+  /// Snapshots the tracer's events (producers quiesced); the tracer may
+  /// keep recording afterwards.
   explicit TraceAnalysis(const Tracer& tracer);
 
   /// Analysis over an explicit event set (post-hoc, e.g. loaded traces).
+  /// Each track's events in record order; tracks may interleave freely.
   TraceAnalysis(std::vector<TraceEvent> events,
                 std::vector<Tracer::Track> tracks);
 

@@ -11,24 +11,30 @@
 //
 // Instrumented code holds a `Tracer*` that is null until an observer
 // attaches; every hook is a branch on that pointer, so an untraced run
-// pays nothing else.  Two storage modes:
+// pays nothing else.
 //
-//  * Full mode (default): every event is retained verbatim (std::string
-//    name/category, one mutex around the log).  Exact, unbounded, and
-//    byte-stable — the golden-trace suite pins its JSON output.
-//  * Ring mode (construct with RingOptions): each track owns a fixed
-//    capacity single-producer/single-consumer ring of 32-byte compact
-//    events over interned name IDs.  record = a relaxed enabled check, a
-//    deterministic 1-in-N sampling branch, and (if sampled) a clock read
-//    plus one ring slot write — no allocation, no lock, no string.  When a
-//    ring fills, the newest events are dropped and counted; always-on
-//    per-track counters (span count, sampled span nanoseconds, drops) stay
-//    exact regardless of sampling.  TraceStreamWriter drains rings
-//    incrementally so arbitrarily long runs export in bounded memory.
+// One record path.  Each track owns a single-producer/single-consumer log
+// of 32-byte compact events over interned name IDs.  record = a relaxed
+// enabled check, a deterministic 1-in-N sampling branch, and (if sampled) a
+// clock read plus one slot write — no lock, no string.  Always-on per-track
+// counters (span count, span nanoseconds) stay exact regardless of
+// sampling.  The log is either
 //
-// Ring-mode concurrency contract: each track is recorded by at most one
-// thread at a time (ranks, shards and links already have per-owner
-// tracks); the drainer may run concurrently with all producers.
+//  * unbounded (the default RingOptions{}): a chain of fixed-size segments,
+//    the first allocated on the track's first record.  Nothing is sampled
+//    away or dropped — full fidelity, byte-stable JSON (the golden-trace
+//    suite pins it); or
+//  * bounded (ring_capacity > 0): one segment reused as a ring.  When it
+//    fills, the newest events are dropped and counted.
+//
+// One exporter.  write_json() and trace_hash() are one non-consuming batch
+// of TraceStreamWriter over a quiesced tracer; a TraceStreamWriter attached
+// to a live tracer drains the logs incrementally (freeing drained
+// segments), so arbitrarily long runs export in bounded memory.
+//
+// Concurrency contract: each track is recorded by at most one thread at a
+// time (ranks, shards and links already have per-owner tracks); a
+// TraceStreamWriter may drain concurrently with all producers.
 #pragma once
 
 #include <atomic>
@@ -66,18 +72,17 @@ struct TraceEvent {
   TrackId track = 0;
   EventKind kind = EventKind::kSpan;
   std::int64_t start_ns = 0;
-  std::int64_t dur_ns = 0;  ///< spans only; -1 while still open
+  std::int64_t dur_ns = 0;  ///< spans only
   double value = 0.0;       ///< counters only
   std::string name;
   std::string category;
 
-  bool open() const { return kind == EventKind::kSpan && dur_ns < 0; }
   std::int64_t end_ns() const { return start_ns + (dur_ns < 0 ? 0 : dur_ns); }
 };
 
-/// Handle for an open span.  Full mode: index into the event log.  Ring
-/// mode: tagged (track, open-slot) pair.  An invalid id (disabled tracer,
-/// unsampled span, slot pool exhausted) makes end_span a no-op.
+/// Handle for an open span: a (track, open-slot) pair.  An invalid id
+/// (disabled tracer, unsampled span, slot limit reached) makes end_span a
+/// no-op.
 struct SpanId {
   std::size_t index = std::numeric_limits<std::size_t>::max();
   bool valid() const {
@@ -85,146 +90,191 @@ struct SpanId {
   }
 };
 
-/// Bounded-memory tracing knobs; passing this to the Tracer constructor
-/// selects ring mode.
+/// Tracer storage and sampling knobs.  The defaults record everything.
 struct RingOptions {
-  /// Events retained per track; rounded up to a power of two.  A full ring
-  /// drops the newest events (counted per track).
-  std::size_t ring_capacity = std::size_t{1} << 14;
+  /// Events retained per track.  0 = unbounded: the log grows a segment at
+  /// a time and never drops.  Otherwise rounded up to a power of two and
+  /// used as a ring that drops the newest events when full (counted).
+  std::size_t ring_capacity = 0;
   /// Deterministic sampling: the k-th span (resp. instant) on a track is
   /// recorded iff k % sample_every == 0 (rounded up to a power of two).
   /// Counters keep exact totals either way.  1 = record everything.
   std::uint32_t sample_every = 1;
-  /// Concurrently-open spans per track (begin/end pairs in flight).
-  std::uint32_t open_span_slots = 64;
+  /// Concurrently-open spans per track (begin/end pairs in flight); 0 =
+  /// grow on demand.  A begin_span past the limit is dropped and counted.
+  std::uint32_t open_span_slots = 0;
   /// Upper bound on add_track() calls (contract-checked).  The always-on
-  /// per-track counters are preallocated densely up front — several tracks
-  /// per cache line — so the sampled-away record path touches one hot line
-  /// instead of each track's ring header.
+  /// per-track counters are reserved densely for this many tracks —
+  /// several tracks per cache line — so the sampled-away record path
+  /// touches one hot line instead of each track's log header.  The
+  /// reservation is not zeroed, and dead tracers' reservations are reused.
   std::size_t max_tracks = 4096;
 };
 
 namespace detail {
 
-/// 32-byte interned event; track is implicit (one ring per track).
+/// 32-byte interned event; track is implicit (one log per track).  No
+/// member initializers: segments are allocated without zeroing.
 struct CompactEvent {
-  std::int64_t start_ns = 0;
-  std::int64_t aux = 0;  ///< span: dur_ns; counter: bit pattern of value
-  NameId name = kNoName;
-  NameId category = kNoName;
-  EventKind kind = EventKind::kSpan;
+  std::int64_t start_ns;
+  std::int64_t aux;  ///< span: dur_ns; counter: bit pattern of value
+  NameId name;
+  NameId category;
+  /// Per-track record order; a begin/end span takes it at begin_span.
+  /// The export's final tie-break (wraps; compared as a signed distance).
+  std::uint32_t seq;
+  EventKind kind;
+};
+static_assert(sizeof(CompactEvent) == 32);
+
+/// A collected event tagged with its track (and, in the exporter, its lane).
+struct BatchEvent {
+  TrackId track;
+  std::uint32_t lane;
+  CompactEvent ev;
 };
 
-/// Single-writer counter bump: the atomic is for the exporter's benefit,
+/// Single-writer counter bump: the atomic access is for readers' benefit,
 /// but only the track's owner thread stores it, so this is a plain
 /// load/add/store — one add on x86 instead of a serializing lock-prefixed
 /// fetch_add.
-inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t d = 1) {
-  c.store(c.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
+inline void bump(std::uint64_t& c, std::uint64_t d = 1) {
+  std::atomic_ref<std::uint64_t> a(c);
+  a.store(a.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
+}
+inline std::uint64_t read(std::uint64_t& c) {
+  return std::atomic_ref<std::uint64_t>(c).load(std::memory_order_relaxed);
 }
 
-/// Always-on per-track totals, preallocated as one dense array (two tracks
+/// Always-on per-track totals, reserved as one dense array (two tracks
 /// per cache line) so the sampled-away record path — which touches nothing
 /// but these — stays cache-resident even with dozens of live tracks.  The
 /// per-kind totals double as the sampling phase.  Single-writer per track
-/// (the ring-mode concurrency contract); 32-byte aligned so an entry never
-/// straddles a line.
+/// (the concurrency contract), accessed through bump()/read().  Trivial,
+/// so reserving max_tracks entries costs no zeroing; 32-byte aligned so an
+/// entry never straddles a line.
 struct alignas(32) HotCounters {
-  std::atomic<std::uint64_t> spans_total{0};
-  std::atomic<std::uint64_t> instants_total{0};
-  std::atomic<std::uint64_t> counters_total{0};
+  std::uint64_t spans_total;
+  std::uint64_t instants_total;
+  std::uint64_t counters_total;
   // Busy nanoseconds: exact for complete_span (duration known before the
   // sampling gate); begin/end spans contribute only when sampled.
-  std::atomic<std::uint64_t> span_ns_total{0};
+  std::uint64_t span_ns_total;
 };
 
-/// Single-producer/single-consumer bounded event ring plus the producer's
-/// open-span slot pool and drop accounting for one track.  Only reached on
-/// the sampled (1-in-N) path — the always-on totals live in the dense
-/// HotCounters array instead, so a sampled-away event never pulls a ring
-/// header into cache.
-struct TrackRing {
-  explicit TrackRing(const RingOptions& opts);
+/// A block of a track's events.  A bounded log is one segment used as a
+/// ring; an unbounded log chains segments, which the drainer frees.
+struct Segment {
+  explicit Segment(std::size_t capacity)
+      : events(std::make_unique_for_overwrite<CompactEvent[]>(capacity)) {}
+  std::unique_ptr<CompactEvent[]> events;
+  std::atomic<Segment*> next{nullptr};
+};
+
+/// One track's single-producer/single-consumer event log plus the
+/// producer's open-span slots and drop accounting.  Only reached on the
+/// sampled (1-in-N) path — the always-on totals live in the dense
+/// HotCounters array instead, so a sampled-away event never pulls a log
+/// header into cache.  Events are indexed by a global count: `head` events
+/// were ever published, the first `tail` of them were drained.
+struct TrackLog {
+  // Unbounded logs: 4 KiB segments.  A lightly used track holds one page,
+  // and short-lived tracers leave no large holes in the heap (32 KiB
+  // segments raised chaos_library's peak RSS).
+  static constexpr std::size_t kSegmentEvents = 128;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  TrackLog(std::size_t ring_capacity, std::uint32_t slot_limit);
+  TrackLog(const TrackLog&) = delete;
+  TrackLog& operator=(const TrackLog&) = delete;
+  ~TrackLog();
 
   // Producer side (the track's owner thread).
   bool push(const CompactEvent& ev) {
     const std::uint64_t h = head.load(std::memory_order_relaxed);
-    const std::uint64_t t = tail.load(std::memory_order_acquire);
-    if (h - t >= buf.size()) {
+    if (bounded && h - tail.load(std::memory_order_acquire) > mask) {
       // Drop-newest keeps the ring a coherent prefix of each track's
       // history and never blocks the producer.
       bump(dropped_ring_full);
       return false;
     }
-    buf[static_cast<std::size_t>(h) & mask] = ev;
+    const std::size_t at = static_cast<std::size_t>(h) & mask;
+    // First record, or (unbounded) the current segment is full.
+    if (at == 0 && (write_seg == nullptr || !bounded)) add_segment();
+    write_seg->events[at] = ev;
     head.store(h + 1, std::memory_order_release);
     bump(sampled_events);
     return true;
   }
-
-  std::uint32_t claim_slot() {
-    if (free_slots.empty()) return kNoSlot;
-    const std::uint32_t slot = free_slots.back();
-    free_slots.pop_back();
-    return slot;
-  }
-
-  void release_slot(std::uint32_t slot) { free_slots.push_back(slot); }
-
-  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  void add_segment();
 
   struct OpenSpan {
     std::int64_t start_ns = 0;
     NameId name = kNoName;
     NameId category = kNoName;
+    std::uint32_t seq = 0;
+    bool live = false;
   };
+  std::uint32_t claim_slot();
+  void release_slot(std::uint32_t slot);
 
-  std::vector<CompactEvent> buf;
-  std::size_t mask = 0;
-  // Producer line: the head index, slot pool and sampled/drop accounting,
-  // padded away from tail so the consumer's tail stores never invalidate
-  // it.  Single-writer relaxed atomics (see bump()).
+  // Consumer side.  Appends events [from, to) — published (to <= head) and
+  // not yet freed (from >= first_index) — to `out`, tagged with `track`.
+  void copy(std::uint64_t from, std::uint64_t to, TrackId track,
+            std::vector<BatchEvent>& out) const;
+  /// Frees the leading segments that are fully drained and that the
+  /// producer has moved past.
+  void free_drained();
+
+  const bool bounded;
+  const std::size_t mask;  // segment capacity - 1
+  const std::uint32_t slot_limit;  // 0 = grow on demand
+  // Producer line: head, the write segment, the sequence counter, the slot
+  // pool and sampled/drop accounting, padded away from tail so the
+  // consumer's tail stores never invalidate it.  Counters are single-writer
+  // (see bump()).
   alignas(64) std::atomic<std::uint64_t> head{0};
+  Segment* write_seg = nullptr;
+  std::uint32_t next_seq = 0;
   std::vector<OpenSpan> open;
   std::vector<std::uint32_t> free_slots;
-  std::atomic<std::uint64_t> sampled_events{0};
-  std::atomic<std::uint64_t> dropped_ring_full{0};
-  std::atomic<std::uint64_t> dropped_no_slot{0};
-  // Consumer-owned: advanced by the drainer.
+  std::atomic<std::uint32_t> open_live{0};
+  std::uint64_t sampled_events = 0;
+  std::uint64_t dropped_ring_full = 0;
+  std::uint64_t dropped_no_slot = 0;
+  // Allocated events: the producer adds, the drainer subtracts.
+  std::atomic<std::uint64_t> capacity_events{0};
+  // Consumer-owned (the producer sets `first` once, before publishing its
+  // first event): the oldest live segment and the index of its first event.
   alignas(64) std::atomic<std::uint64_t> tail{0};
+  Segment* first = nullptr;
+  std::uint64_t first_index = 0;
 };
 
-/// Lock-free track -> ring lookup table, republished (RCU-style) when a
-/// track is added; retired tables stay alive until the tracer dies so a
-/// concurrent reader never touches freed memory.
-struct RingTable {
-  TrackRing* const* rings = nullptr;
-  std::size_t count = 0;
+/// A tracer's dense per-track arrays, reserved for max_tracks tracks and
+/// left uninitialized (add_track sets each entry it hands out).
+struct TrackArrays {
+  explicit TrackArrays(std::size_t tracks)
+      : capacity(tracks),
+        hot(std::make_unique_for_overwrite<HotCounters[]>(tracks)),
+        logs(std::make_unique_for_overwrite<TrackLog*[]>(tracks)) {}
+  const std::size_t capacity;
+  std::unique_ptr<HotCounters[]> hot;
+  std::unique_ptr<TrackLog*[]> logs;
 };
 
 }  // namespace detail
 
 class Tracer {
  public:
-  /// Full-fidelity tracer stamped by `clock`; the clock must outlive the
-  /// tracer.  Retains every event verbatim.
-  explicit Tracer(const ClockSource& clock) : clock_(&clock) {}
-
-  /// Ring-mode tracer: bounded per-track rings, interned names, sampling.
-  Tracer(const ClockSource& clock, const RingOptions& opts)
-      : clock_(&clock), ring_opts_(opts), ring_mode_(true) {
-    init_ring_mode();
-  }
+  /// Tracer stamped by `clock`; the clock must outlive the tracer.  The
+  /// default options record every event.
+  explicit Tracer(const ClockSource& clock, const RingOptions& opts = {})
+      : Tracer(&clock, opts) {}
 
   /// Clockless tracer: only complete_span/instant_at with explicit
   /// timestamps are meaningful (e.g. post-hoc Gantt export).
-  Tracer() = default;
-
-  /// Clockless ring-mode tracer (explicit-timestamp record calls only).
-  explicit Tracer(const RingOptions& opts)
-      : ring_opts_(opts), ring_mode_(true) {
-    init_ring_mode();
-  }
+  explicit Tracer(const RingOptions& opts = {}) : Tracer(nullptr, opts) {}
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -242,8 +292,6 @@ class Tracer {
   /// Resolves an interned id (registry lookup under the intern mutex).
   std::string name_of(NameId id) const;
 
-  bool ring_mode() const { return ring_mode_; }
-
   /// Master record switch.  While disabled every record call returns after
   /// one relaxed atomic load — the "attached but idle" state benched in
   /// BENCH_OBS.  Export and track registration still work.
@@ -254,96 +302,94 @@ class Tracer {
 
   std::int64_t now_ns() const { return clock_ ? clock_->now_ns() : 0; }
 
-  /// Opens a span at the current clock time.  end_span() closes it; a span
-  /// never closed is exported with zero duration (full mode) or dropped at
-  /// destruction (ring mode).
-  SpanId begin_span(TrackId track, std::string name,
-                    std::string category = {}) {
+  // Record calls.  Each string overload interns its names and calls the
+  // NameId overload; hot paths intern once and pass ids.
+
+  /// Opens a span at the current clock time; end_span() closes it.  A span
+  /// still open is exported by snapshot()/write_json() as closed at the
+  /// current clock, and by a TraceStreamWriter only once it closes.
+  SpanId begin_span(TrackId track, std::string_view name,
+                    std::string_view category = {}) {
     if (!enabled()) return SpanId{};
-    return begin_span_slow(track, std::move(name), std::move(category));
+    return begin_span(track, intern(name), intern(category));
   }
   SpanId begin_span(TrackId track, NameId name, NameId category = kNoName) {
     if (!enabled()) return SpanId{};
-    if (!ring_mode_) return begin_span_id(track, name, category);
     // Sampled-away spans are counted and nothing else: no clock read, no
-    // slot claim, no ring lookup; the invalid id makes end_span a no-op.
+    // slot claim, no log lookup; the invalid id makes end_span a no-op.
     if (!tick(hot(track).spans_total)) return SpanId{};
-    return begin_span_sampled(track, ring(track), name, category);
+    return begin_span_sampled(track, name, category);
   }
+  /// Closes a span; ending one twice is a contract violation.
   void end_span(SpanId id) {
     if (!id.valid()) return;
     end_span_impl(id);
   }
 
   /// Records an already-finished span with explicit timestamps.
-  void complete_span(TrackId track, std::string name, std::string category,
-                     std::int64_t start_ns, std::int64_t dur_ns) {
+  void complete_span(TrackId track, std::string_view name,
+                     std::string_view category, std::int64_t start_ns,
+                     std::int64_t dur_ns) {
     if (!enabled()) return;
-    complete_span_slow(track, std::move(name), std::move(category), start_ns,
-                       dur_ns);
+    complete_span(track, intern(name), intern(category), start_ns, dur_ns);
   }
   void complete_span(TrackId track, NameId name, NameId category,
                      std::int64_t start_ns, std::int64_t dur_ns) {
     if (!enabled()) return;
-    if (!ring_mode_) {
-      complete_span_id(track, name, category, start_ns, dur_ns);
-      return;
-    }
     POLARIS_DCHECK(dur_ns >= 0);
     detail::HotCounters& h = hot(track);
     // Duration is already known here, so the busy-ns counter stays exact
     // for every completed span even when the event itself is sampled away.
     detail::bump(h.span_ns_total, static_cast<std::uint64_t>(dur_ns));
     if (!tick(h.spans_total)) return;
-    ring(track).push({start_ns, dur_ns, name, category, EventKind::kSpan});
+    record(track, start_ns, dur_ns, name, category, EventKind::kSpan);
   }
 
   /// Point event at the current clock time.
-  void instant(TrackId track, std::string name, std::string category = {}) {
+  void instant(TrackId track, std::string_view name,
+               std::string_view category = {}) {
     if (!enabled()) return;
-    instant_at_slow(track, std::move(name), std::move(category), now_ns());
+    instant(track, intern(name), intern(category));
   }
   void instant(TrackId track, NameId name, NameId category = kNoName) {
     if (!enabled()) return;
-    if (!ring_mode_) {
-      instant_at_id(track, name, category, now_ns());
-      return;
-    }
     if (!tick(hot(track).instants_total)) return;
-    // Clock read and ring lookup only behind the sampling gate.
-    ring(track).push({now_ns(), 0, name, category, EventKind::kInstant});
+    // Clock read and log lookup only behind the sampling gate.
+    record(track, now_ns(), 0, name, category, EventKind::kInstant);
   }
-  void instant_at(TrackId track, std::string name, std::string category,
+  void instant_at(TrackId track, std::string_view name,
+                  std::string_view category, std::int64_t at_ns) {
+    if (!enabled()) return;
+    instant_at(track, intern(name), intern(category), at_ns);
+  }
+  void instant_at(TrackId track, NameId name, NameId category,
                   std::int64_t at_ns) {
     if (!enabled()) return;
-    instant_at_slow(track, std::move(name), std::move(category), at_ns);
+    if (!tick(hot(track).instants_total)) return;
+    record(track, at_ns, 0, name, category, EventKind::kInstant);
   }
 
   /// Samples a counter series (rendered as a stacked area in the viewer).
-  void counter(TrackId track, std::string name, double value) {
+  void counter(TrackId track, std::string_view name, double value) {
     if (!enabled()) return;
-    counter_slow(track, std::move(name), value);
+    counter(track, intern(name), value);
   }
   void counter(TrackId track, NameId name, double value) {
     if (!enabled()) return;
-    if (!ring_mode_) {
-      counter_id(track, name, value);
-      return;
-    }
     detail::bump(hot(track).counters_total);
-    ring(track).push({
-        now_ns(),
-        static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value)),
-        name, kNoName, EventKind::kCounter});
+    record(track, now_ns(),
+           static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value)),
+           name, kNoName, EventKind::kCounter);
   }
 
+  /// Events snapshot()/write_json() would return now: recorded and not yet
+  /// drained, plus still-open spans.
   std::size_t event_count() const;
   std::size_t track_count() const;
 
-  /// Snapshot of the event log; open spans are closed at the current clock
-  /// time so analysis never sees negative durations.  Ring mode: decodes
-  /// the rings without consuming them (events already drained by a
-  /// TraceStreamWriter are gone; still-open spans are not included).
+  /// Each track's undrained events in record order, track by track.  Open
+  /// spans are included, closed at the current clock time, so analysis
+  /// never sees negative durations.  Expects quiesced producers.
   std::vector<TraceEvent> snapshot() const;
 
   struct Track {
@@ -353,13 +399,12 @@ class Tracer {
   std::vector<Track> tracks() const;
 
   /// Chrome trace-event JSON ({"traceEvents": [...]}), one event per line,
-  /// sorted by start time within each exported lane.  Ring mode: streams
-  /// the current (undrained) ring contents; use TraceStreamWriter to
-  /// export more events than the rings hold.
+  /// sorted by start time within each exported lane: one non-consuming
+  /// TraceStreamWriter batch (open spans included, as in snapshot()).
+  /// Repeatable; expects quiesced producers.
   void write_json(std::ostream& os) const;
 
-  /// Aggregate record-path accounting (ring mode; full mode fills the
-  /// event/track counts only).  Used by tests and the BENCH_OBS
+  /// Aggregate record-path accounting.  Used by tests and the BENCH_OBS
   /// steady-state allocation check: interned_names and
   /// ring_capacity_events must not move between warmup and steady state.
   struct Stats {
@@ -372,7 +417,7 @@ class Tracer {
     std::uint64_t dropped_no_slot = 0;
     std::uint64_t drained_events = 0;
     std::size_t interned_names = 0;
-    std::size_t ring_capacity_events = 0;
+    std::size_t ring_capacity_events = 0;  ///< allocated, all tracks
     std::size_t track_count = 0;
   };
   Stats stats() const;
@@ -380,86 +425,79 @@ class Tracer {
  private:
   friend class TraceStreamWriter;
 
-  SpanId begin_span_slow(TrackId track, std::string name,
-                         std::string category);
-  SpanId begin_span_id(TrackId track, NameId name, NameId category);
-  SpanId begin_span_sampled(TrackId track, detail::TrackRing& r, NameId name,
-                            NameId category);
-  void end_span_impl(SpanId id);
-  void complete_span_slow(TrackId track, std::string name,
-                          std::string category, std::int64_t start_ns,
-                          std::int64_t dur_ns);
-  void complete_span_id(TrackId track, NameId name, NameId category,
-                        std::int64_t start_ns, std::int64_t dur_ns);
-  void instant_at_slow(TrackId track, std::string name, std::string category,
-                       std::int64_t at_ns);
-  void instant_at_id(TrackId track, NameId name, NameId category,
-                     std::int64_t at_ns);
-  void counter_slow(TrackId track, std::string name, double value);
-  void counter_id(TrackId track, NameId name, double value);
+  Tracer(const ClockSource* clock, const RingOptions& opts);
 
-  detail::TrackRing& ring(TrackId track) const {
-    const detail::RingTable* table =
-        ring_table_.load(std::memory_order_acquire);
-    POLARIS_CHECK(table != nullptr && track < table->count);
-    return *table->rings[track];
+  SpanId begin_span_sampled(TrackId track, NameId name, NameId category);
+  void end_span_impl(SpanId id);
+
+  /// Appends one event with the track's next record sequence.
+  void record(TrackId track, std::int64_t start_ns, std::int64_t aux,
+              NameId name, NameId category, EventKind kind) {
+    detail::TrackLog& log = this->log(track);
+    log.push({start_ns, aux, name, category, log.next_seq++, kind});
   }
 
-  /// Dense always-on counters for a track (ring mode; preallocated for
-  /// max_tracks at construction, so the pointer never moves).
+  detail::TrackLog& log(TrackId track) const {
+    POLARIS_CHECK(track < log_count_.load(std::memory_order_acquire));
+    return *arrays_->logs[track];
+  }
+
+  /// Dense always-on counters for a track (reserved for max_tracks at
+  /// construction, so the pointer never moves).
   detail::HotCounters& hot(TrackId track) const {
-    POLARIS_DCHECK(hot_ != nullptr && track < ring_opts_.max_tracks);
+    POLARIS_DCHECK(track < log_count_.load(std::memory_order_relaxed));
     return hot_[track];
   }
 
   /// Counts one event of a kind and reports whether it is the sampled one
   /// (the 1st, N+1th, ... of that kind on the track).
-  bool tick(std::atomic<std::uint64_t>& total) const {
-    const std::uint64_t seen = total.load(std::memory_order_relaxed);
-    total.store(seen + 1, std::memory_order_relaxed);
+  bool tick(std::uint64_t& total) const {
+    std::atomic_ref<std::uint64_t> a(total);
+    const std::uint64_t seen = a.load(std::memory_order_relaxed);
+    a.store(seen + 1, std::memory_order_relaxed);
     return (seen & sample_mask_) == 0;
   }
 
-  NameId intern_locked(std::string_view s);
-  TraceEvent decode(TrackId track, const detail::CompactEvent& ev) const;
-  /// Allocates the dense counter array and derives the sampling mask
-  /// (sample_every rounded up to a power of two).
-  void init_ring_mode();
+  /// Appends every track's undrained events to `out`.  A consuming read
+  /// (the streaming writer) advances the tails and frees drained segments;
+  /// a non-consuming one (snapshot, write_json) also appends the open
+  /// spans, closed at the current clock.
+  void collect(std::vector<detail::BatchEvent>& out, bool consume) const;
 
   const ClockSource* clock_ = nullptr;
-  RingOptions ring_opts_;
-  bool ring_mode_ = false;
+  const RingOptions opts_;
   std::atomic<bool> enabled_{true};
   // Record-path hot members, grouped: the sampling mask and the dense
-  // counter array base are read on every ring-mode record call.
+  // counter array base are read on every record call.
   std::uint64_t sample_mask_ = 0;
-  std::unique_ptr<detail::HotCounters[]> hot_;
+  detail::HotCounters* hot_ = nullptr;  // arrays_->hot
 
+  // Per-track arrays reserved for max_tracks, so neither moves while
+  // producers run; entry i is written before log_count_ is released past
+  // it, so record() never takes mu_.  Track logs are owned by logs_.
+  std::unique_ptr<detail::TrackArrays> arrays_;
   mutable std::mutex mu_;
   std::vector<Track> tracks_;
-  std::vector<TraceEvent> events_;  // full mode only
+  std::vector<std::unique_ptr<detail::TrackLog>> logs_;
+  std::atomic<std::size_t> log_count_{0};
 
-  // Name interning (both modes; ids resolve to strings at export).
+  // Name interning; ids resolve to strings at export.  A deque keeps each
+  // name at a stable address for the views that key name_ids_.
   mutable std::mutex intern_mu_;
-  std::vector<std::string> names_{std::string()};  // names_[0] == ""
-  std::unordered_map<std::string, NameId> name_ids_;
-
-  // Ring mode: address-stable rings plus an RCU-republished lookup table
-  // so record() never takes mu_.
-  std::deque<detail::TrackRing> rings_;
-  std::atomic<detail::RingTable*> ring_table_{nullptr};
-  std::vector<std::unique_ptr<detail::RingTable>> retired_tables_;
-  std::vector<std::unique_ptr<detail::TrackRing*[]>> retired_arrays_;
-  std::atomic<std::uint64_t> drained_events_{0};
+  std::deque<std::string> names_{std::string()};  // names_[0] == ""
+  std::unordered_map<std::string_view, NameId> name_ids_;
 };
 
-/// Streams a ring-mode tracer's events to Chrome trace JSON in bounded
-/// memory: construct (writes the header), call drain() as often as desired
-/// while producers are still recording (each call consumes the rings), and
-/// finish() once they quiesce.  Thread/process metadata is emitted inline
-/// the first time a track (or overflow lane) appears, so the output is
-/// deterministic for deterministic per-track event streams regardless of
-/// how record work was spread over threads.
+/// Streams a tracer's events to Chrome trace JSON.  Construct (writes the
+/// header), call drain() as often as desired while producers are still
+/// recording (each call consumes the logs; an unbounded log frees drained
+/// segments, so export runs in bounded memory), and finish() once they
+/// quiesce.  Each drain is one batch: sorted per track by (start, longer
+/// first, record order), packed into lanes, and preceded by metadata for
+/// every process, track and lane not yet announced.  A single batch is
+/// exactly write_json()'s layout; the output is deterministic for
+/// deterministic per-track event streams regardless of how record work was
+/// spread over threads.
 class TraceStreamWriter {
  public:
   TraceStreamWriter(Tracer& tracer, std::ostream& os);
@@ -467,7 +505,7 @@ class TraceStreamWriter {
   TraceStreamWriter& operator=(const TraceStreamWriter&) = delete;
   ~TraceStreamWriter();
 
-  /// Consumes everything currently in the rings; returns events written.
+  /// Consumes everything currently in the logs; returns events written.
   std::size_t drain();
   /// Final drain plus the JSON footer (idempotent).
   void finish();
@@ -477,37 +515,37 @@ class TraceStreamWriter {
  private:
   friend class Tracer;
 
-  struct LaneState {
-    std::vector<std::int64_t> open_ends;
-    bool announced = false;
-  };
+  /// consume=false reads the logs without advancing them and includes open
+  /// spans (the Tracer::write_json path).
+  TraceStreamWriter(const Tracer& tracer, std::ostream& os, bool consume);
 
-  /// consume=false reads rings without advancing their tails (the
-  /// repeatable Tracer::write_json convenience path).
-  TraceStreamWriter(Tracer& tracer, std::ostream& os, bool consume);
+  /// Copies tracks and names registered since the last batch and
+  /// announces their new processes.
+  void sync_registry();
+  void assign_lanes();
+  void announce();
+  void emit(const detail::BatchEvent& e);
 
-  void emit_event(const TraceEvent& ev);
-  void announce_lane(TrackId track, int lane);
-  int pid_of_track(TrackId track);
-  int tid_of(TrackId track, int lane);
-
-  Tracer* tracer_;
+  const Tracer* tracer_;
   std::ostream* os_;
   bool consume_ = true;
   bool first_ = true;
   bool finished_ = false;
   std::size_t events_written_ = 0;
+  std::vector<std::string> names_;  // escaped, by NameId
   std::unordered_map<std::string, int> pids_;
-  std::vector<int> track_pid_;                 // -1 = not yet announced
-  std::vector<std::vector<LaneState>> lanes_;  // per track
-  std::vector<TraceEvent> batch_;              // reused scratch
+  std::vector<int> track_pid_;
+  std::vector<std::string> track_names_;
+  /// Per track, per lane: the stack of enclosing span ends.
+  std::vector<std::vector<std::vector<std::int64_t>>> lanes_;
+  std::vector<std::size_t> announced_lanes_;
+  std::vector<detail::BatchEvent> batch_;  // reused scratch
 };
 
 /// FNV-1a fingerprint of the tracer's exported JSON (write_json byte
 /// stream).  Two runs that produced the same trace hash to the same value
 /// on every platform — the cheap "did these runs behave identically?"
-/// check the scenario runner's determinism verdicts are built on.  Ring
-/// mode hashes the current (undrained) ring contents, like write_json.
+/// check the scenario runner's determinism verdicts are built on.
 std::uint64_t trace_hash(const Tracer& tracer);
 
 /// RAII span; a null tracer makes every operation a no-op, so call sites
@@ -516,12 +554,10 @@ std::uint64_t trace_hash(const Tracer& tracer);
 class ScopedSpan {
  public:
   ScopedSpan() = default;
-  ScopedSpan(Tracer* tracer, TrackId track, std::string name,
-             std::string category = {})
+  ScopedSpan(Tracer* tracer, TrackId track, std::string_view name,
+             std::string_view category = {})
       : tracer_(tracer) {
-    if (tracer_) {
-      id_ = tracer_->begin_span(track, std::move(name), std::move(category));
-    }
+    if (tracer_) id_ = tracer_->begin_span(track, name, category);
   }
   ScopedSpan(Tracer* tracer, TrackId track, NameId name,
              NameId category = kNoName)

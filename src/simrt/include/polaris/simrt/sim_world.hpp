@@ -142,7 +142,7 @@ struct InFlightId {
 /// Name ids for every hot span/instant SimComm records, interned once in
 /// SimWorld::attach_tracer.  The record path then never touches the
 /// tracer's intern table and never builds a std::string — required for the
-/// ring tracer's no-allocation guarantee, harmless in full mode.
+/// tracer's steady-state no-allocation guarantee.
 struct TraceIds {
   /// Rendezvous protocol-phase names ("rdv:*" or "rdma:*").
   struct Phase {

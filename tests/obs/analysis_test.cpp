@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "polaris/obs/trace.hpp"
 
@@ -112,6 +114,79 @@ TEST(TraceAnalysis, ReportMentionsCoverageAndContributors) {
   TraceAnalysis::report(os, analysis.critical_path("ranks"));
   EXPECT_NE(os.str().find("critical path"), std::string::npos);
   EXPECT_NE(os.str().find("compute"), std::string::npos);
+}
+
+TraceEvent span(TrackId track, std::string name, std::int64_t start_ns,
+               std::int64_t dur_ns) {
+  TraceEvent ev;
+  ev.track = track;
+  ev.start_ns = start_ns;
+  ev.dur_ns = dur_ns;
+  ev.name = std::move(name);
+  return ev;
+}
+
+void expect_same_path(const CriticalPath& a, const CriticalPath& b) {
+  EXPECT_EQ(a.makespan_s, b.makespan_s);
+  EXPECT_EQ(a.length_s, b.length_s);
+  ASSERT_EQ(a.steps.size(), b.steps.size());
+  for (std::size_t i = 0; i < a.steps.size(); ++i) {
+    EXPECT_EQ(a.steps[i].track, b.steps[i].track) << "step " << i;
+    EXPECT_EQ(a.steps[i].name, b.steps[i].name) << "step " << i;
+    EXPECT_EQ(a.steps[i].start_ns, b.steps[i].start_ns) << "step " << i;
+    EXPECT_EQ(a.steps[i].covered_ns, b.steps[i].covered_ns) << "step " << i;
+  }
+  ASSERT_EQ(a.contributors.size(), b.contributors.size());
+  for (std::size_t i = 0; i < a.contributors.size(); ++i) {
+    EXPECT_EQ(a.contributors[i].name, b.contributors[i].name);
+    EXPECT_EQ(a.contributors[i].spans, b.contributors[i].spans);
+  }
+}
+
+TEST(TraceAnalysis, CrossTrackOrderDoesNotChangeCriticalPath) {
+  // Three ranks that tie everywhere: equal ends, equal starts, and equal
+  // spans on different tracks.  Each track's events stay in record order;
+  // only the interleaving of tracks differs between the runs.
+  const std::vector<Tracer::Track> tracks = {
+      {"ranks", "rank 0"}, {"ranks", "rank 1"}, {"ranks", "rank 2"}};
+  const std::vector<std::vector<TraceEvent>> per_track = {
+      {span(0, "compute", 0, 100), span(0, "wait", 100, 200)},
+      {span(1, "compute", 0, 100), span(1, "recv", 100, 200),
+       span(1, "copy", 100, 200)},
+      {span(2, "compute", 0, 100), span(2, "send", 100, 100),
+       span(2, "idle", 200, 100)},
+  };
+  const auto interleave = [&](const std::vector<std::size_t>& track_order,
+                              bool round_robin) {
+    std::vector<TraceEvent> out;
+    if (!round_robin) {
+      for (const std::size_t t : track_order) {
+        out.insert(out.end(), per_track[t].begin(), per_track[t].end());
+      }
+      return out;
+    }
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (const std::size_t t : track_order) {
+        if (i < per_track[t].size()) out.push_back(per_track[t][i]);
+      }
+    }
+    return out;
+  };
+
+  const CriticalPath reference =
+      TraceAnalysis(interleave({0, 1, 2}, false), tracks).critical_path();
+  ASSERT_EQ(reference.steps.size(), 2u);
+  EXPECT_EQ(reference.steps[0].track, 0u);
+  EXPECT_EQ(reference.steps[1].name, "wait");
+  for (const auto& order : std::vector<std::vector<std::size_t>>{
+           {2, 1, 0}, {1, 2, 0}, {2, 0, 1}}) {
+    for (const bool round_robin : {false, true}) {
+      expect_same_path(
+          reference,
+          TraceAnalysis(interleave(order, round_robin), tracks)
+              .critical_path());
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // the SPSC producer/drainer contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -11,6 +13,7 @@
 
 #include "polaris/obs/clock.hpp"
 #include "polaris/obs/trace.hpp"
+#include "polaris/support/check.hpp"
 
 namespace polaris::obs {
 namespace {
@@ -269,6 +272,198 @@ TEST(RingTracer, ConcurrentProducersAndDrainerConserveEvents) {
   EXPECT_EQ(s.drained_events, s.sampled_events);  // finish() drained the rest
   EXPECT_EQ(writer.events_written(), s.drained_events);
   EXPECT_EQ(tracer.event_count(), 0u);
+}
+
+// The two storage shapes every behaviour below must hold on: a bounded ring
+// and the default unbounded segmented log.
+std::vector<RingOptions> both_storages() {
+  return {small_ring(64), RingOptions{}};
+}
+
+/// Manually advanced clock for deterministic span timestamps.
+class ManualClock final : public ClockSource {
+ public:
+  std::int64_t now_ns() const override { return now_; }
+  void set(std::int64_t ns) { now_ = ns; }
+
+ private:
+  std::int64_t now_ = 0;
+};
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(RingTracer, WriteJsonExportsEveryEventOnce) {
+  for (const RingOptions& opts : both_storages()) {
+    Tracer tracer(opts);
+    const TrackId r0 = tracer.add_track("ranks", "rank 0");
+    const TrackId r1 = tracer.add_track("ranks", "rank 1");
+    tracer.complete_span(r0, tracer.intern("a"), kNoName, 0, 10);
+    tracer.complete_span(r0, tracer.intern("b"), kNoName, 20, 10);
+    tracer.complete_span(r1, tracer.intern("c"), kNoName, 5, 10);
+    std::ostringstream os;
+    tracer.write_json(os);
+    EXPECT_EQ(tracer.event_count(), 3u);
+    EXPECT_EQ(count_of(os.str(), "\"ph\":\"X\""), tracer.event_count())
+        << "ring_capacity=" << opts.ring_capacity;
+    EXPECT_EQ(count_of(os.str(), "\"name\":\"a\""), 1u);
+  }
+}
+
+TEST(RingTracer, SecondEndSpanThrowsAndLeavesSlotsIntact) {
+  for (const RingOptions& opts : both_storages()) {
+    ManualClock clock;
+    Tracer tracer(clock, opts);
+    const TrackId t = tracer.add_track("ranks", "rank 0");
+    const SpanId x = tracer.begin_span(t, "x");
+    clock.set(10);
+    tracer.end_span(x);
+    EXPECT_THROW(tracer.end_span(x), support::ContractViolation);
+
+    // The slot x held is handed out once, not twice.
+    const SpanId a = tracer.begin_span(t, "a");
+    const SpanId b = tracer.begin_span(t, "b");
+    EXPECT_NE(a.index, b.index);
+    clock.set(20);
+    tracer.end_span(b);
+    clock.set(30);
+    tracer.end_span(a);
+
+    std::vector<std::string> names;
+    for (const TraceEvent& ev : tracer.snapshot()) names.push_back(ev.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"x", "a", "b"}))
+        << "ring_capacity=" << opts.ring_capacity;
+    EXPECT_EQ(tracer.event_count(), 3u);
+  }
+}
+
+TEST(RingTracer, TiedSpansExportInBeginOrder) {
+  for (const RingOptions& opts : both_storages()) {
+    ManualClock clock;
+    Tracer tracer(clock, opts);
+    const TrackId t = tracer.add_track("ranks", "rank 0");
+    clock.set(10);
+    const SpanId outer = tracer.begin_span(t, "outer");
+    const SpanId inner = tracer.begin_span(t, "inner");
+    clock.set(30);
+    tracer.end_span(inner);  // same start and duration; ends first
+    tracer.end_span(outer);
+    std::ostringstream os;
+    tracer.write_json(os);
+    const std::string json = os.str();
+    const auto at_outer = json.find("\"name\":\"outer\"");
+    const auto at_inner = json.find("\"name\":\"inner\"");
+    ASSERT_NE(at_outer, std::string::npos);
+    ASSERT_NE(at_inner, std::string::npos);
+    EXPECT_LT(at_outer, at_inner) << "ring_capacity=" << opts.ring_capacity;
+  }
+}
+
+// tsan stress for the unbounded log: one producer fills several segments
+// while the main thread drains.  Each round the producer waits for a drain
+// that covers it, so at most one round is ever undrained and the allocated
+// capacity must stay within a few segments.
+TEST(RingTracer, UnboundedLogDrainsConcurrentlyInBoundedMemory) {
+  WallClock clock;
+  Tracer tracer(clock);
+  const TrackId t = tracer.add_track("ranks", "rank 0");
+  const NameId op = tracer.intern("op");
+  constexpr std::uint64_t kSegment = detail::TrackLog::kSegmentEvents;
+  constexpr int kRounds = 8;
+  constexpr std::uint64_t kPerRound = kSegment * 3 / 2;
+  std::ostringstream os;
+  TraceStreamWriter writer(tracer, os);
+
+  std::atomic<int> produced{0}, drained{0};
+  std::thread producer([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      for (std::uint64_t i = 0; i < kPerRound; ++i) {
+        if ((i & 7) == 0) {
+          tracer.instant(t, op);
+        } else {
+          tracer.complete_span(t, op, kNoName, static_cast<std::int64_t>(i),
+                               1);
+        }
+      }
+      produced.store(round + 1, std::memory_order_release);
+      while (drained.load(std::memory_order_acquire) <= round) {
+        std::this_thread::yield();
+      }
+    }
+  });
+  std::size_t peak_capacity = 0;
+  while (drained.load(std::memory_order_relaxed) < kRounds) {
+    const int ready = produced.load(std::memory_order_acquire);
+    writer.drain();
+    peak_capacity =
+        std::max(peak_capacity, tracer.stats().ring_capacity_events);
+    drained.store(ready, std::memory_order_release);
+  }
+  producer.join();
+  writer.finish();
+
+  const std::uint64_t total = kRounds * kPerRound;
+  const Tracer::Stats s = tracer.stats();
+  EXPECT_EQ(s.spans_total + s.instants_total, total);
+  EXPECT_EQ(s.sampled_events, total);
+  EXPECT_EQ(s.dropped_ring_full + s.dropped_no_slot, 0u);
+  EXPECT_EQ(s.drained_events, total);
+  EXPECT_EQ(writer.events_written(), total);
+  EXPECT_EQ(tracer.event_count(), 0u);
+  EXPECT_GT(peak_capacity, 0u);
+  EXPECT_LE(peak_capacity, 3 * kSegment);
+  EXPECT_EQ(s.ring_capacity_events, kSegment);  // only the write segment
+}
+
+// The per-track arrays are reserved for max_tracks and never move: a
+// thread keeps recording on track 0 while the main thread adds tracks and
+// records on each.  A later tracer reuses the arrays and starts from zero.
+TEST(RingTracer, TracksAddedWhileRecordingAndReusedArraysStartAtZero) {
+  constexpr std::uint64_t kBusySpans = 20'000;
+  constexpr TrackId kTracks = 1100;
+  for (int tracer_round = 0; tracer_round < 2; ++tracer_round) {
+    Tracer tracer;
+    const TrackId busy = tracer.add_track("ranks", "rank 0");
+    const NameId op = tracer.intern("op");
+    EXPECT_EQ(tracer.stats().spans_total, 0u);
+    std::thread producer([&] {
+      for (std::uint64_t i = 0; i < kBusySpans; ++i) {
+        tracer.complete_span(busy, op, kNoName, static_cast<std::int64_t>(i),
+                             1);
+      }
+    });
+    for (TrackId t = 1; t < kTracks; ++t) {
+      const TrackId id = tracer.add_track("links", "link " + std::to_string(t));
+      ASSERT_EQ(id, t);
+      tracer.complete_span(id, op, kNoName, t, 2);
+    }
+    producer.join();
+
+    const Tracer::Stats s = tracer.stats();
+    EXPECT_EQ(s.track_count, kTracks);
+    EXPECT_EQ(s.spans_total, kBusySpans + kTracks - 1);
+    EXPECT_EQ(s.span_ns_total, kBusySpans + 2 * (kTracks - 1));
+    const std::vector<TraceEvent> events = tracer.snapshot();
+    ASSERT_EQ(events.size(), kBusySpans + kTracks - 1);
+    for (TrackId t = 1; t < kTracks; ++t) {
+      const TraceEvent& ev = events[kBusySpans + t - 1];
+      EXPECT_EQ(ev.track, t);
+      EXPECT_EQ(ev.start_ns, t);
+    }
+  }
+  RingOptions small;
+  small.max_tracks = 2;
+  Tracer tracer(small);
+  tracer.add_track("ranks", "rank 0");
+  tracer.add_track("ranks", "rank 1");
+  EXPECT_THROW(tracer.add_track("ranks", "rank 2"),
+               support::ContractViolation);
 }
 
 }  // namespace

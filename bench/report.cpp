@@ -1,52 +1,24 @@
 #include "report.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
+
+#include "polaris/support/json.hpp"
 
 namespace polaris::bench {
 
 namespace {
 
 void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
+  std::string out = "\"";
+  support::append_json_escaped(out, s);
+  out += '"';
+  os << out;
 }
 
 void write_number(std::ostream& os, double v) {
-  // JSON has no NaN/Inf; null keeps the file parseable if a measurement
-  // went sideways.
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << buf;
+  std::string out;
+  support::append_json_number(out, v);
+  os << out;
 }
 
 }  // namespace

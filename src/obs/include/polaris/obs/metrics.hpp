@@ -1,13 +1,12 @@
-// Metrics registry: named counters, gauges and histograms.
+// Metrics registry: named counters, gauges and log histograms.
 //
 // Instrumented code holds a raw pointer to a metric object (obtained once
 // from the registry) and updates it with one atomic op; a null pointer
 // means "no observer attached" and costs one predictable branch.  Metric
 // objects live as long as the registry, so cached pointers never dangle.
-// Counters and gauges are lock-free; Histogram takes a short mutex and
-// bounds its memory with a reservoir (percentiles cross-checked against
-// support::Summary in tests); LogHistogram is the single-writer hot-path
-// alternative with no lock and no retained samples.
+// Counters and gauges are lock-free.  LogHistogram is single-writer with
+// no lock and no retained samples: code that records from several threads
+// gives each worker its own and folds them with merge_from after the join.
 #pragma once
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,132 +56,19 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Sample distribution with bounded memory.  record() appends under a
-/// mutex; reads snapshot under the same mutex.  Up to `reservoir_cap`
-/// samples are retained exactly (percentiles match support::Summary to the
-/// bit); past the cap, reservoir sampling (Vitter's algorithm R, fixed-seed
-/// xorshift so runs are deterministic) keeps a uniform subset for
-/// percentile estimates while count/sum/min/max stay exact.  Intended for
-/// attach-time/report paths, not the hot path — hot paths use LogHistogram.
-class Histogram {
- public:
-  static constexpr std::size_t kDefaultReservoirCap = 16384;
-
-  explicit Histogram(std::size_t reservoir_cap = kDefaultReservoirCap)
-      : cap_(reservoir_cap > 0 ? reservoir_cap : 1) {}
-
-  void record(double x) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++count_;
-    sum_ += x;
-    if (count_ == 1 || x < min_) min_ = x;
-    if (count_ == 1 || x > max_) max_ = x;
-    if (samples_.size() < cap_) {
-      samples_.push_back(x);
-      if (samples_.size() > 1) sorted_ = false;
-    } else {
-      // Replace a random slot with probability cap/count: every sample seen
-      // so far is retained with equal probability.
-      const std::uint64_t j = next_rand() % count_;
-      if (j < cap_) {
-        samples_[static_cast<std::size_t>(j)] = x;
-        sorted_ = false;
-      }
-    }
-  }
-
-  std::size_t count() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<std::size_t>(count_);
-  }
-  double mean() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return count_ ? exact_sum() / static_cast<double>(count_) : 0.0;
-  }
-  double min() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return count_ ? min_ : 0.0;
-  }
-  double max() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return count_ ? max_ : 0.0;
-  }
-  double sum() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return count_ ? exact_sum() : 0.0;
-  }
-  /// Linear-interpolated percentile, p in [0, 100]; same definition as
-  /// support::Summary::percentile (exact below the reservoir cap, a
-  /// uniform-subset estimate above it).
-  double percentile(double p) const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (samples_.empty()) return 0.0;
-    ensure_sorted();
-    if (samples_.size() == 1) return samples_[0];
-    const double rank =
-        p / 100.0 * static_cast<double>(samples_.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const double frac = rank - static_cast<double>(lo);
-    if (lo + 1 >= samples_.size()) return samples_.back();
-    return samples_[lo] + frac * (samples_[lo + 1] - samples_[lo]);
-  }
-  /// Number of retained samples (== count() until the reservoir fills).
-  std::size_t reservoir_size() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return samples_.size();
-  }
-  std::size_t reservoir_cap() const { return cap_; }
-
- private:
-  /// Matches support::Summary::sum(): accumulate over the retained vector
-  /// (bit-identical below the cap); past the cap the running total is the
-  /// exact value.
-  double exact_sum() const {
-    if (count_ <= cap_) {
-      double s = 0.0;
-      for (const double x : samples_) s += x;
-      return s;
-    }
-    return sum_;
-  }
-  void ensure_sorted() const {
-    if (!sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
-    }
-  }
-  std::uint64_t next_rand() {
-    // xorshift64: deterministic, never zero.
-    rng_ ^= rng_ << 13;
-    rng_ ^= rng_ >> 7;
-    rng_ ^= rng_ << 17;
-    return rng_;
-  }
-
-  mutable std::mutex mu_;
-  const std::size_t cap_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  std::uint64_t rng_ = 0x9e3779b97f4a7c15ULL;
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
-};
-
 /// Fixed-bucket log-linear histogram (HdrHistogram-style) for hot-path
 /// integer samples: each power-of-two octave is split into 32 linear
 /// sub-buckets, so any recorded value lands within 1/32 (~3%) of its
 /// bucket's representative and record() is two shifts and an increment —
 /// no allocation, no mutex, no retained samples.  The whole state is a
-/// flat counts array, which makes per-shard instances trivially cheap to
-/// merge at export time (merge_from is a vector add); that is why pdes
-/// gives every shard its own registry and folds them after the run.
+/// flat counts array, which makes per-worker instances trivially cheap to
+/// fold (merge_from is a vector add); that is why every pdes shard and rt
+/// rank owns its histograms and its owner folds them after the join.
 ///
-/// Concurrency contract: single writer.  Unlike Histogram, counters are
-/// plain (non-atomic) — one owner thread records, readers look only after
-/// the writer quiesces (end of run / after a barrier).  Copyable so merged
-/// results can be moved into a combined report.
+/// Concurrency contract: single writer.  Counters are plain (non-atomic) —
+/// one owner thread records, readers look only after the writer quiesces
+/// (end of run / after a barrier).  Copyable so merged results can be
+/// moved into a combined report.
 class LogHistogram {
  public:
   /// Sub-bucket resolution: 2^5 = 32 linear buckets per octave.
@@ -234,16 +119,6 @@ class LogHistogram {
       if (other.max_ > max_) max_ = other.max_;
       if (other.min_ < min_) min_ = other.min_;
     }
-  }
-
-  /// Combines per-shard (or per-frontend, per-thread, ...) histograms into
-  /// one at export time: bucket-add over every part.  The canonical "sharded
-  /// registries merged at export" path — callers should not hand-roll the
-  /// merge_from loop.
-  static LogHistogram merge(std::span<const LogHistogram* const> parts) {
-    LogHistogram out;
-    for (const LogHistogram* p : parts) out.merge_from(*p);
-    return out;
   }
 
   /// Quantile estimate, q in [0, 1]: quantile(0.99) is p99.  Same
@@ -316,7 +191,6 @@ class MetricsRegistry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
   LogHistogram& log_histogram(std::string_view name);
 
   std::size_t size() const;
@@ -329,7 +203,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<LogHistogram>, std::less<>>
       log_histograms_;
 };

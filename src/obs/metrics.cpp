@@ -31,12 +31,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
                         [] { return std::make_unique<Gauge>(); });
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return find_or_create(histograms_, name,
-                        [] { return std::make_unique<Histogram>(); });
-}
-
 LogHistogram& MetricsRegistry::log_histogram(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mu_);
   return find_or_create(log_histograms_, name,
@@ -45,8 +39,7 @@ LogHistogram& MetricsRegistry::log_histogram(std::string_view name) {
 
 std::size_t MetricsRegistry::size() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         log_histograms_.size();
+  return counters_.size() + gauges_.size() + log_histograms_.size();
 }
 
 void MetricsRegistry::dump(std::ostream& os) const {
@@ -57,11 +50,6 @@ void MetricsRegistry::dump(std::ostream& os) const {
   }
   for (const auto& [name, g] : gauges_) {
     os << name << " gauge " << g->value() << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    os << name << " histogram count=" << h->count() << " mean=" << h->mean()
-       << " p50=" << h->percentile(50.0) << " p99=" << h->percentile(99.0)
-       << " max=" << h->max() << "\n";
   }
   for (const auto& [name, h] : log_histograms_) {
     os << name << " loghist count=" << h->count() << " mean=" << h->mean()

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "polaris/support/check.hpp"
+#include "polaris/support/json.hpp"
 
 namespace polaris::obs {
 
@@ -326,38 +327,6 @@ Tracer::Stats Tracer::stats() const {
 
 namespace {
 
-std::string escaped(std::string_view s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Microsecond timestamp with nanosecond precision kept as a fraction.
 std::string format_us(std::int64_t ns) {
   char buf[32];
@@ -372,9 +341,11 @@ void write_metadata(std::ostream& os, const char* what, int pid, int tid,
                     const std::string& value, int sort_index, bool* first) {
   if (!*first) os << ",\n";
   *first = false;
+  std::string name;
+  support::append_json_escaped(name, value);
   os << R"({"ph":"M","pid":)" << pid;
   if (tid >= 0) os << R"(,"tid":)" << tid;
-  os << R"(,"name":")" << what << R"(","args":{"name":")" << escaped(value)
+  os << R"(,"name":")" << what << R"(","args":{"name":")" << name
      << R"("}})";
   if (sort_index >= 0) {
     os << ",\n"
@@ -425,7 +396,7 @@ void TraceStreamWriter::sync_registry() {
   {
     const std::lock_guard<std::mutex> lock(tracer_->intern_mu_);
     for (std::size_t i = names_.size(); i < tracer_->names_.size(); ++i) {
-      names_.push_back(escaped(tracer_->names_[i]));
+      support::append_json_escaped(names_.emplace_back(), tracer_->names_[i]);
     }
   }
   // Process name -> pid, in first-registration order.

@@ -20,10 +20,6 @@ ShardedEngine::ShardedEngine(Config cfg) : cfg_(std::move(cfg)) {
                     "shard count must be in [1, ranks]");
   part_ = fabric::make_block_partition(wl.ranks(), {wl.grid_w, wl.grid_h},
                                        cfg_.fabric, cfg_.shards);
-  obs_ = obs::ShardedRegistry(cfg_.shards);
-  h_window_events_ = obs_.log_histogram("pdes.window_events");
-  h_window_ns_ = obs_.log_histogram("pdes.window_ns");
-  h_drain_batch_ = obs_.log_histogram("pdes.drain_batch");
   worlds_.reserve(cfg_.shards);
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
     worlds_.push_back(std::make_unique<ShardWorld>(cfg_, part_, s, this));
@@ -183,12 +179,11 @@ Result ShardedEngine::run() {
     res.nacks += w->nacks();
     res.peak_event_nodes += w->peak_event_nodes();
     res.peak_inflight_recs += w->peak_inflight_recs();
+    // Workers quiesced at join: each shard's histograms are final.
+    res.window_ns.merge_from(w->window_ns());
+    res.window_events.merge_from(w->window_events());
+    res.drain_batch.merge_from(w->drain_batch());
   }
-  // Workers quiesced at join: fold the per-shard metric shards through the
-  // registry's merge path.
-  res.window_ns = obs_.merged(h_window_ns_);
-  res.window_events = obs_.merged(h_window_events_);
-  res.drain_batch = obs_.merged(h_drain_batch_);
 
   // Golden trace: every rank's per-phase completion stream plus its final
   // state, folded in global rank order — shard-placement invariant.

@@ -30,7 +30,9 @@
 // compose with SweepRunner points instead of multiplying thread counts.
 // Shard count is the *simulation* parameter (it must not change results);
 // worker count is purely an execution parameter (shards round-robin onto
-// workers).
+// workers).  Per-window metrics follow the same ownership: each ShardWorld
+// records into its own obs::LogHistograms, and run() folds them into the
+// Result after the workers join.
 #pragma once
 
 #include <memory>
@@ -38,7 +40,6 @@
 #include <vector>
 
 #include "polaris/fabric/partition.hpp"
-#include "polaris/obs/sharded.hpp"
 #include "polaris/pdes/config.hpp"
 #include "polaris/pdes/world.hpp"
 #include "polaris/rt/spsc_ring.hpp"
@@ -68,20 +69,6 @@ class ShardedEngine {
   /// Consumer side: only shard `dst`'s worker drains its inbound channels.
   void drain_into(std::size_t dst, std::vector<fabric::ShardHandoff>& out);
 
-  /// Per-shard metric shards (one per simulation shard); each ShardWorld
-  /// records into its own shard and run() folds them via the registry's
-  /// merge path — no hand-rolled per-shard histogram folding.
-  obs::ShardedRegistry& obs_shards() { return obs_; }
-  obs::ShardedRegistry::HistId hist_window_events() const {
-    return h_window_events_;
-  }
-  obs::ShardedRegistry::HistId hist_window_ns() const {
-    return h_window_ns_;
-  }
-  obs::ShardedRegistry::HistId hist_drain_batch() const {
-    return h_drain_batch_;
-  }
-
  private:
   struct Channel {
     explicit Channel(std::size_t cap) : ring(cap) {}
@@ -97,10 +84,6 @@ class ShardedEngine {
 
   Config cfg_;
   fabric::Partition part_;
-  obs::ShardedRegistry obs_{1};
-  obs::ShardedRegistry::HistId h_window_events_{};
-  obs::ShardedRegistry::HistId h_window_ns_{};
-  obs::ShardedRegistry::HistId h_drain_batch_{};
   std::vector<std::unique_ptr<ShardWorld>> worlds_;
   std::vector<std::unique_ptr<Channel>> channels_;
   bool ran_ = false;

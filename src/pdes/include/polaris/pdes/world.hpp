@@ -107,7 +107,10 @@ class ShardWorld {
     return engine_.stats().max_pool_in_use;
   }
   std::uint64_t peak_inflight_recs() const { return recs_.size(); }
-  void note_window_ns(std::uint64_t ns) { window_ns_->record(ns); }
+  const obs::LogHistogram& window_ns() const { return window_ns_; }
+  const obs::LogHistogram& window_events() const { return window_events_; }
+  const obs::LogHistogram& drain_batch() const { return drain_batch_; }
+  void note_window_ns(std::uint64_t ns) { window_ns_.record(ns); }
 
  private:
   enum class Kind : std::uint8_t {
@@ -200,11 +203,11 @@ class ShardWorld {
 
   std::uint64_t events_ = 0;
   std::uint64_t msgs_intra_ = 0, msgs_cross_ = 0, nacks_ = 0;
-  // Hot handles into this shard's slice of the parent's ShardedRegistry
-  // (single-writer by construction; the parent merges after the run).
-  obs::LogHistogram* window_events_ = nullptr;
-  obs::LogHistogram* window_ns_ = nullptr;
-  obs::LogHistogram* drain_batch_ = nullptr;
+  // Written only by this shard's worker; ShardedEngine::run folds them
+  // after the join.
+  obs::LogHistogram window_events_;
+  obs::LogHistogram window_ns_;
+  obs::LogHistogram drain_batch_;
 };
 
 }  // namespace polaris::pdes

@@ -24,10 +24,6 @@ ShardWorld::ShardWorld(const Config& cfg, const fabric::Partition& part,
                        std::size_t shard, ShardedEngine* parent)
     : cfg_(cfg), part_(part), parent_(parent), shard_(shard) {
   first_ = part.first_node[shard];
-  obs::ShardedRegistry::Shard& obs = parent_->obs_shards().shard(shard_);
-  window_events_ = &obs.hist(parent_->hist_window_events());
-  window_ns_ = &obs.hist(parent_->hist_window_ns());
-  drain_batch_ = &obs.hist(parent_->hist_drain_batch());
   const Workload& wl = cfg.workload;
   w_ = wl.grid_w;
   h_ = wl.grid_h;
@@ -86,7 +82,7 @@ void ShardWorld::begin_window() {
   out_min_ = des::Engine::kNoEventTime;
   scratch_.clear();
   parent_->drain_into(shard_, scratch_);
-  drain_batch_->record(scratch_.size());
+  drain_batch_.record(scratch_.size());
   // Canonical ingestion order: arrival effects commute within a tick, but
   // sorting makes the engine's (t, seq) order itself shard-independent —
   // belt and braces for the determinism contract.
@@ -107,7 +103,7 @@ void ShardWorld::run_window(des::SimTime until) {
   cur_until_ = until;
   const std::size_t n = engine_.run_until(until);
   events_ += n;
-  window_events_->record(n);
+  window_events_.record(n);
 }
 
 void ShardWorld::on_event(void* ctx) {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -30,7 +31,6 @@
 #include "polaris/msg/completion.hpp"
 #include "polaris/msg/tag_matcher.hpp"
 #include "polaris/obs/metrics.hpp"
-#include "polaris/obs/sharded.hpp"
 #include "polaris/obs/trace.hpp"
 #include "polaris/rt/spsc_ring.hpp"
 
@@ -193,9 +193,10 @@ class Communicator {
   obs::TrackId track_ = 0;
   obs::Gauge* ring_depth_ = nullptr;
   obs::Counter* sends_counter_ = nullptr;
-  // This rank's shard of the world's ShardedRegistry: recorded from the
-  // rank's own thread with plain stores, merged after run().
-  obs::LogHistogram* msg_bytes_ = nullptr;
+  // Recorded from this rank's own thread with plain stores; ShmWorld::run
+  // folds it into the registry after the join.  Created by attach_metrics
+  // inside the Communicator, so no two ranks' histograms share a line.
+  std::optional<obs::LogHistogram> msg_bytes_;
 };
 
 /// Spawns `ranks` threads, each running `fn(Communicator&)`, and joins.
@@ -220,9 +221,10 @@ class ShmWorld {
   /// time from each rank's own thread.  Call before run().
   void attach_tracer(obs::Tracer& tracer);
 
-  /// Attaches a metrics registry: send counters and size histograms updated
-  /// live from rank threads, a ring-occupancy high-water gauge sampled in
-  /// progress(), and eager/rendezvous totals mirrored after each run().
+  /// Attaches a metrics registry: a send counter updated live from rank
+  /// threads, a ring-occupancy high-water gauge sampled in progress(), and,
+  /// after each run(), the ranks' message-size histograms folded into
+  /// `rt.msg_bytes` and the eager/rendezvous totals mirrored.
   void attach_metrics(obs::MetricsRegistry& metrics);
 
  private:
@@ -231,8 +233,6 @@ class ShmWorld {
   std::vector<std::unique_ptr<SpscRing<detail::WireMsg>>> rings_;
   std::vector<std::unique_ptr<Communicator>> comms_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::ShardedRegistry obs_{1};  ///< one shard per rank (attach_metrics)
-  obs::ShardedRegistry::HistId h_msg_bytes_{};
 };
 
 }  // namespace polaris::rt

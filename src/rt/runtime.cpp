@@ -411,12 +411,9 @@ void ShmWorld::attach_tracer(obs::Tracer& tracer) {
 
 void ShmWorld::attach_metrics(obs::MetricsRegistry& metrics) {
   metrics_ = &metrics;
-  obs_ = obs::ShardedRegistry(static_cast<std::size_t>(size_));
-  h_msg_bytes_ = obs_.log_histogram("rt.msg_bytes");
   for (auto& c : comms_) {
     c->sends_counter_ = &metrics.counter("rt.sends");
-    c->msg_bytes_ =
-        &obs_.shard(static_cast<std::size_t>(c->rank_)).hist(h_msg_bytes_);
+    c->msg_bytes_.emplace();
     c->ring_depth_ = &metrics.gauge("rt.ring_depth_max");
   }
 }
@@ -445,19 +442,19 @@ void ShmWorld::run(const std::function<void(Communicator&)>& fn) {
   if (first_error) std::rethrow_exception(first_error);
 
   if (metrics_) {
+    // Rank threads are joined: fold each rank's histogram into the shared
+    // registry and clear it so repeated run() calls count every send once.
+    obs::LogHistogram& msg_bytes = metrics_->log_histogram("rt.msg_bytes");
     std::uint64_t eager = 0, rendezvous = 0;
     for (const auto& c : comms_) {
       eager += c->eager_sends_;
       rendezvous += c->rendezvous_sends_;
+      msg_bytes.merge_from(*c->msg_bytes_);
+      c->msg_bytes_->reset();
     }
     metrics_->gauge("rt.eager_sends").set(static_cast<double>(eager));
     metrics_->gauge("rt.rendezvous_sends")
         .set(static_cast<double>(rendezvous));
-    // Rank threads are joined: fold the per-rank shards into the shared
-    // registry and clear them so repeated run() calls accumulate exactly
-    // once per send.
-    metrics_->log_histogram("rt.msg_bytes").merge_from(obs_.merged(h_msg_bytes_));
-    obs_.reset();
   }
 }
 

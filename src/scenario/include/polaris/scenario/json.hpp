@@ -6,9 +6,11 @@
 // takes no external dependencies, so this is a small self-contained value
 // type + recursive-descent parser covering the JSON we emit and consume:
 // objects, arrays, strings (with the standard escapes), doubles, bools,
-// null.  Object member order is PRESERVED (vector of pairs, not a map) —
-// dump() of a parsed document is deterministic, which the scenario
-// determinism hashes rely on.
+// null.  Specs are outside input, so the parser holds to RFC 8259: numbers
+// must match its grammar and lie within a double's range, and strings may
+// not carry raw control bytes.  Object member order is PRESERVED (vector
+// of pairs, not a map) — dump() of a parsed document is deterministic,
+// which the scenario determinism hashes rely on.
 //
 // Errors throw support::ContractViolation with a byte offset; there is no
 // half-parsed state to propagate.
@@ -81,7 +83,8 @@ class Json {
   bool bool_or(std::string_view key, bool fallback) const;
 
   /// Serializes compactly; numbers via %.17g, so parse(dump()) round-trips
-  /// and equal documents dump to equal bytes.
+  /// and equal documents dump to equal bytes.  A non-finite number, which
+  /// JSON cannot express, is written as null.
   std::string dump() const;
 
  private:

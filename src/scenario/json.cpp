@@ -1,9 +1,10 @@
 #include "polaris/scenario/json.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 
 #include "polaris/support/check.hpp"
+#include "polaris/support/json.hpp"
 
 namespace polaris::scenario {
 namespace {
@@ -120,6 +121,9 @@ class Parser {
     std::string out;
     while (true) {
       const char c = peek();
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail("unescaped control character in string");
+      }
       ++pos_;
       if (c == '"') return out;
       if (c != '\\') {
@@ -181,12 +185,47 @@ class Parser {
     }
   }
 
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  /// Consumes a run of decimal digits; false if there was none.
+  bool digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ > from;
+  }
+
+  /// RFC 8259 number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
+  /// The grammar is checked before converting, so hex, inf/nan, a leading
+  /// '+' or '.', and a bare trailing '.' are all rejected; a leading zero
+  /// ends the number, leaving "01"'s "1" as trailing garbage.  A value
+  /// beyond a double's range (1e999, or 1e-400 underflowing to zero) is
+  /// rejected rather than turned into inf or 0.
   Json number() {
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) fail("expected a value");
-    pos_ += static_cast<std::size_t>(end - begin);
+    const std::size_t start = pos_;
+    if (at('-')) ++pos_;
+    if (at('0')) {
+      ++pos_;
+    } else if (!digits()) {
+      fail("expected a value");
+    }
+    if (at('.')) {
+      ++pos_;
+      if (!digits()) fail("expected a digit after '.'");
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (!digits()) fail("expected an exponent digit");
+    }
+    double v = 0.0;
+    const std::errc ec =
+        std::from_chars(text_.data() + start, text_.data() + pos_, v).ec;
+    if (ec != std::errc{}) {
+      pos_ = start;
+      fail("number out of range");
+    }
     return Json::number(v);
   }
 
@@ -196,33 +235,7 @@ class Parser {
 
 void dump_string(const std::string& s, std::string& out) {
   out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  support::append_json_escaped(out, s);
   out.push_back('"');
 }
 
@@ -236,12 +249,9 @@ void dump_value(const Json& v, std::string& out) {
     case Json::Type::kBool:
       out += v.boolean() ? "true" : "false";
       break;
-    case Json::Type::kNumber: {
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%.17g", v.num());
-      out += buf;
+    case Json::Type::kNumber:
+      support::append_json_number(out, v.num());
       break;
-    }
     case Json::Type::kString:
       dump_string(v.str(), out);
       break;

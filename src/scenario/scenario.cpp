@@ -7,66 +7,46 @@
 #include "polaris/support/check.hpp"
 
 namespace polaris::scenario {
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void append_check(const CheckOutcome& c, bool monitor, std::string& out) {
-  out += "{\"name\":";
-  out += Json::string(c.name).dump();
-  out += ",\"passed\":";
-  out += c.passed ? "true" : "false";
-  if (monitor) {
-    out += ",\"checks\":" + std::to_string(c.checks);
-    out += ",\"violations\":" + std::to_string(c.violations);
-    out += ",\"first_violation_s\":" + fmt_double(c.first_violation_s);
-  } else {
-    out += ",\"time_s\":" + fmt_double(c.time_s);
-  }
-  out += "}";
-}
-
-}  // namespace
 
 std::string Verdict::to_json() const {
-  std::string out = "{";
-  out += "\"scenario\":" + Json::string(scenario).dump();
-  out += ",\"passed\":";
-  out += passed ? "true" : "false";
-  out += ",\"root\":\"";
-  out += to_string(root);
-  out += "\",\"monitors_clean\":";
-  out += monitors_clean ? "true" : "false";
-  out += ",\"ticks\":" + std::to_string(ticks);
-  out += ",\"end_time_s\":" + fmt_double(end_time_s);
-  out += ",\"trace_hash\":\"";
+  const auto outcomes = [](const std::vector<CheckOutcome>& list,
+                           bool monitor) {
+    Json arr = Json::array();
+    for (const CheckOutcome& c : list) {
+      Json o = Json::object();
+      o.set("name", Json::string(c.name));
+      o.set("passed", Json::boolean(c.passed));
+      if (monitor) {
+        o.set("checks", Json::number(static_cast<double>(c.checks)));
+        o.set("violations", Json::number(static_cast<double>(c.violations)));
+        o.set("first_violation_s", Json::number(c.first_violation_s));
+      } else {
+        o.set("time_s", Json::number(c.time_s));
+      }
+      arr.push(std::move(o));
+    }
+    return arr;
+  };
   char hex[24];
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(trace_hash));
-  out += hex;
-  out += "\",\"trace_events\":" + std::to_string(trace_events);
-  out += ",\"asserts\":[";
-  for (std::size_t i = 0; i < asserts.size(); ++i) {
-    if (i) out += ",";
-    append_check(asserts[i], /*monitor=*/false, out);
+  Json counter_obj = Json::object();
+  for (const auto& [name, value] : counters) {
+    counter_obj.set(name, Json::number(value));
   }
-  out += "],\"monitors\":[";
-  for (std::size_t i = 0; i < monitors.size(); ++i) {
-    if (i) out += ",";
-    append_check(monitors[i], /*monitor=*/true, out);
-  }
-  out += "],\"counters\":{";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i) out += ",";
-    out += Json::string(counters[i].first).dump();
-    out += ":" + fmt_double(counters[i].second);
-  }
-  out += "}}";
-  return out;
+  Json doc = Json::object();
+  doc.set("scenario", Json::string(scenario));
+  doc.set("passed", Json::boolean(passed));
+  doc.set("root", Json::string(to_string(root)));
+  doc.set("monitors_clean", Json::boolean(monitors_clean));
+  doc.set("ticks", Json::number(static_cast<double>(ticks)));
+  doc.set("end_time_s", Json::number(end_time_s));
+  doc.set("trace_hash", Json::string(hex));
+  doc.set("trace_events", Json::number(static_cast<double>(trace_events)));
+  doc.set("asserts", outcomes(asserts, /*monitor=*/false));
+  doc.set("monitors", outcomes(monitors, /*monitor=*/true));
+  doc.set("counters", std::move(counter_obj));
+  return doc.dump();
 }
 
 // -------------------------------------------------------------------- Expr

@@ -19,9 +19,10 @@
 //     distributed service times, FIFO-queueing the rest; request and
 //     response bytes ride fabric::SimNetwork::transfer_raw, so link
 //     contention, topology, routing mode and faults all shape the tail.
-//   - End-to-end latency (arrival to response landed) is recorded in
-//     obs::LogHistogram per front-end and merged at export; an optional
-//     time-bucketed timeline captures tail excursions around a fault.
+//   - End-to-end latency (arrival to response landed) is recorded in one
+//     obs::LogHistogram shared by every front-end (the sim runs on one
+//     thread); an optional time-bucketed timeline captures tail
+//     excursions around a fault.
 //
 // Fault behaviour: register the sim as a fault::FaultListener and crash a
 // shard's node mid-run — in-flight requests to it fail, the front-ends
@@ -41,7 +42,6 @@
 #include "polaris/fabric/topology.hpp"
 #include "polaris/fault/injector.hpp"
 #include "polaris/obs/metrics.hpp"
-#include "polaris/obs/sharded.hpp"
 #include "polaris/support/arrival.hpp"
 #include "polaris/support/rng.hpp"
 
@@ -100,8 +100,8 @@ struct ServeResult {
   double throughput_rps = 0.0;    ///< recorded / measured_s
   std::size_t max_queue_depth = 0;
 
-  /// End-to-end latency in engine ticks (nanoseconds), merged across
-  /// front-ends, post-warmup arrivals only.
+  /// End-to-end latency in engine ticks (nanoseconds), all front-ends,
+  /// post-warmup arrivals only.
   obs::LogHistogram latency_ns;
   /// Per-arrival-time-bucket latency (empty unless timeline_bucket_s > 0).
   std::vector<obs::LogHistogram> timeline;
@@ -190,10 +190,8 @@ class ServeSim : public fault::FaultListener {
   std::size_t active_requests() const {
     return requests_.size() - request_free_.size();
   }
-  /// p99 of everything recorded so far (merged across front-ends).
-  double live_p99_us() const {
-    return obs_.merged(h_latency_).quantile(0.99) * 1e-3;
-  }
+  /// p99 of everything recorded so far.
+  double live_p99_us() const { return result_.p99_us(); }
 
   void on_fault(const fault::FaultEvent& ev) override;
 
@@ -213,8 +211,6 @@ class ServeSim : public fault::FaultListener {
   struct Frontend {
     support::Random rng{0};             ///< LB sampling (re-seeded by split)
     std::unique_ptr<support::ArrivalProcess> arrivals;
-    /// This front-end's shard in the sim's ShardedRegistry.
-    obs::LogHistogram* latency_ns = nullptr;
     std::uint32_t rr_next = 0;          ///< round-robin cursor
     des::SimTime next_arrival = 0;
     std::uint32_t index = 0;
@@ -257,8 +253,6 @@ class ServeSim : public fault::FaultListener {
   std::unique_ptr<fabric::SimNetwork> network_;
   std::unique_ptr<fault::Injector> injector_;
 
-  obs::ShardedRegistry obs_{1};  ///< one shard per front-end
-  obs::ShardedRegistry::HistId h_latency_{};
   std::vector<Frontend> frontends_;
   std::vector<Shard> shards_;
 

@@ -53,16 +53,9 @@ ServeSim::ServeSim(ServeConfig cfg, std::unique_ptr<fabric::Topology> topology)
   // All randomness splits off one root stream, in a fixed actor order, so
   // the run is a pure function of the seed.
   support::Random root(cfg_.seed);
-  // One metric shard per front-end; ServeSim is single-threaded DES today,
-  // but the shards keep the record path allocation- and lock-free and the
-  // fold goes through the registry's merge path instead of a hand-rolled
-  // loop.
-  obs_ = obs::ShardedRegistry(cfg_.frontends);
-  h_latency_ = obs_.log_histogram("serve.latency_ns");
   frontends_.resize(cfg_.frontends);
   for (std::size_t f = 0; f < cfg_.frontends; ++f) {
     Frontend& fe = frontends_[f];
-    fe.latency_ns = &obs_.shard(f).hist(h_latency_);
     fe.rng = root.split();
     fe.arrivals = std::make_unique<support::ArrivalProcess>(
         cfg_.arrival, root.engine()());
@@ -321,8 +314,7 @@ void ServeSim::complete(Request& req) {
   ++result_.completed;
   if (req.arrival >= warmup_ticks_) {
     ++result_.recorded;
-    frontends_[req.frontend].latency_ns->record(
-        static_cast<std::uint64_t>(latency));
+    result_.latency_ns.record(static_cast<std::uint64_t>(latency));
   }
   if (bucket_ticks_ > 0) {
     const std::size_t b = std::min<std::size_t>(
@@ -394,7 +386,6 @@ ServeResult ServeSim::run() {
   }
   engine_.run();
 
-  result_.latency_ns = obs_.merged(h_latency_);
   result_.measured_s = cfg_.duration_s - cfg_.warmup_s;
   result_.throughput_rps =
       static_cast<double>(result_.recorded) / result_.measured_s;

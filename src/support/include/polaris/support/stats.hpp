@@ -1,34 +1,12 @@
-// Descriptive statistics used throughout experiments: streaming moments
-// (Welford) and percentile summaries.
+// Exact descriptive statistics for experiments and test oracles: a
+// sample-retaining percentile summary.  Hot-path and per-worker
+// distributions use obs::LogHistogram instead, which retains no samples.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace polaris::support {
-
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-/// O(1) memory; numerically stable for long simulations.
-class OnlineStats {
- public:
-  void add(double x);
-  void merge(const OnlineStats& other);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< Sample variance (n-1 denominator).
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Sample-retaining summary for percentiles.  Keeps all samples; intended
 /// for experiment-scale data (≤ millions of points), not unbounded streams.

@@ -79,34 +79,6 @@ TEST(LogHistogram, MergeAccumulatesAtBucketResolution) {
   EXPECT_NEAR(a.percentile(75.0), 1050.0 * 17.0, 1050.0 * 17.0 / 16.0);
 }
 
-TEST(LogHistogram, StaticMergeEqualsSequentialMergeFrom) {
-  LogHistogram a, b, c;
-  for (std::uint64_t v = 1; v <= 500; ++v) a.record(v);
-  for (std::uint64_t v = 1; v <= 300; ++v) b.record(v * 7);
-  for (std::uint64_t v = 1; v <= 100; ++v) c.record(v * 1000);
-
-  LogHistogram sequential;
-  sequential.merge_from(a);
-  sequential.merge_from(b);
-  sequential.merge_from(c);
-
-  const LogHistogram* parts[] = {&a, &b, &c};
-  const LogHistogram merged = LogHistogram::merge(parts);
-  EXPECT_EQ(merged.count(), sequential.count());
-  EXPECT_EQ(merged.sum(), sequential.sum());
-  EXPECT_EQ(merged.min(), sequential.min());
-  EXPECT_EQ(merged.max(), sequential.max());
-  for (const double p : {1.0, 50.0, 90.0, 99.0, 99.9}) {
-    EXPECT_DOUBLE_EQ(merged.percentile(p), sequential.percentile(p)) << p;
-  }
-}
-
-TEST(LogHistogram, StaticMergeOfNothingIsEmpty) {
-  const LogHistogram merged = LogHistogram::merge({});
-  EXPECT_EQ(merged.count(), 0u);
-  EXPECT_DOUBLE_EQ(merged.percentile(99.0), 0.0);
-}
-
 TEST(LogHistogram, QuantileIsPercentileOnUnitScale) {
   LogHistogram h;
   for (std::uint64_t v = 1; v <= 1000; ++v) h.record(v);

@@ -6,8 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "polaris/support/stats.hpp"
-
 namespace polaris::obs {
 namespace {
 
@@ -64,77 +62,14 @@ TEST(Gauge, ConcurrentObserveMaxKeepsGlobalMax) {
   EXPECT_DOUBLE_EQ(g.value(), 8.0 * 10'000 - 1);
 }
 
-TEST(HistogramMetric, PercentilesMatchSupportSummary) {
-  Histogram h;
-  support::Summary reference;
-  // Deterministic pseudo-random stream (LCG).
-  std::uint64_t state = 12345;
-  for (int i = 0; i < 10'000; ++i) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    const double x = static_cast<double>(state >> 40);
-    h.record(x);
-    reference.add(x);
-  }
-  EXPECT_EQ(h.count(), reference.count());
-  EXPECT_DOUBLE_EQ(h.mean(), reference.mean());
-  EXPECT_DOUBLE_EQ(h.min(), reference.min());
-  EXPECT_DOUBLE_EQ(h.max(), reference.max());
-  EXPECT_DOUBLE_EQ(h.sum(), reference.sum());
-  for (double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
-    EXPECT_DOUBLE_EQ(h.percentile(p), reference.percentile(p)) << "p" << p;
-  }
-}
-
-TEST(HistogramMetric, EmptyIsZeroes) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(50.0), 0.0);
-}
-
-TEST(HistogramMetric, ReservoirBoundsMemoryAboveCap) {
-  constexpr std::size_t kCap = 256;
-  Histogram h(kCap);
-  constexpr std::uint64_t kN = 100'000;
-  double sum = 0.0;
-  for (std::uint64_t i = 1; i <= kN; ++i) {
-    h.record(static_cast<double>(i));
-    sum += static_cast<double>(i);
-  }
-  // Count/sum/min/max stay exact; only the percentile sample is bounded.
-  EXPECT_EQ(h.count(), kN);
-  EXPECT_DOUBLE_EQ(h.sum(), sum);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), static_cast<double>(kN));
-  EXPECT_EQ(h.reservoir_size(), kCap);
-  EXPECT_EQ(h.reservoir_cap(), kCap);
-  // Algorithm R keeps a uniform sample: the median estimate is loose but
-  // must land well inside the bulk of the distribution.
-  const double p50 = h.percentile(50.0);
-  EXPECT_GT(p50, 0.25 * static_cast<double>(kN));
-  EXPECT_LT(p50, 0.75 * static_cast<double>(kN));
-}
-
-TEST(HistogramMetric, ReservoirSamplingIsDeterministic) {
-  Histogram a(128), b(128);
-  for (int i = 0; i < 50'000; ++i) {
-    const double x = static_cast<double>((i * 2654435761u) % 1'000'003);
-    a.record(x);
-    b.record(x);
-  }
-  for (const double p : {1.0, 25.0, 50.0, 90.0, 99.0, 99.9}) {
-    EXPECT_DOUBLE_EQ(a.percentile(p), b.percentile(p)) << "p" << p;
-  }
-}
-
 TEST(MetricsRegistry, StableIdentityAcrossLookups) {
   MetricsRegistry registry;
   Counter& a = registry.counter("x");
   Gauge& g = registry.gauge("x");  // same name, different kind: distinct
-  Histogram& h = registry.histogram("x");
+  LogHistogram& h = registry.log_histogram("x");
   EXPECT_EQ(&a, &registry.counter("x"));
   EXPECT_EQ(&g, &registry.gauge("x"));
-  EXPECT_EQ(&h, &registry.histogram("x"));
+  EXPECT_EQ(&h, &registry.log_histogram("x"));
   EXPECT_EQ(registry.size(), 3u);
 }
 
@@ -143,7 +78,7 @@ TEST(MetricsRegistry, DumpIsSortedAndComplete) {
   registry.counter("b.count").add(2);
   registry.counter("a.count").add(1);
   registry.gauge("depth").set(4.5);
-  registry.histogram("lat").record(1.0);
+  registry.log_histogram("lat").record(1);
 
   std::ostringstream os;
   registry.dump(os);

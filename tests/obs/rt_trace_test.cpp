@@ -71,6 +71,31 @@ TEST(RtTrace, MetricsCountSendsAndMirrorProtocolSplit) {
   EXPECT_GE(metrics.gauge("rt.ring_depth_max").value(), 0.0);
 }
 
+// Each run() folds every rank's histogram into the registry and clears
+// it, so a second run adds its own sends and nothing from the first.
+TEST(RtTrace, RepeatedRunsCountEachSendOnce) {
+  ShmWorld world(2);
+  obs::MetricsRegistry metrics;
+  world.attach_metrics(metrics);
+
+  const auto two_sends = [](Communicator& c) {
+    std::vector<std::byte> small(16), large(64 * 1024);
+    if (c.rank() == 0) {
+      c.send(1, 1, small);
+      c.send(1, 2, large);
+    } else {
+      c.recv(0, 1, small);
+      c.recv(0, 2, large);
+    }
+  };
+  world.run(two_sends);
+  world.run(two_sends);
+
+  EXPECT_EQ(metrics.counter("rt.sends").value(), 4u);
+  EXPECT_EQ(metrics.log_histogram("rt.msg_bytes").count(), 4u);
+  EXPECT_EQ(metrics.log_histogram("rt.msg_bytes").max(), 64u * 1024);
+}
+
 TEST(RtTrace, CollectiveSpansNestTheirTraffic) {
   ShmWorld world(4);
   obs::WallClock clock;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "polaris/support/check.hpp"
@@ -80,6 +81,37 @@ TEST(ScenarioJson, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("tru"), support::ContractViolation);
   EXPECT_THROW(Json::parse(R"({"a": 1} trailing)"),
                support::ContractViolation);
+  // Numbers outside the RFC 8259 grammar, or beyond a finite double.
+  for (const char* text :
+       {"Infinity", "-inf", "NaN", "0x10", "+1", ".5", "01", "1.", "1e999",
+        "-", "1e", "[1.e5]", R"({"a": 01})", "-1e999", "1e-400"}) {
+    EXPECT_THROW(Json::parse(text), support::ContractViolation) << text;
+  }
+  // A raw control byte inside a string must be escaped.
+  EXPECT_THROW(Json::parse("\"a\tb\""), support::ContractViolation);
+}
+
+TEST(ScenarioJson, NonFiniteNumbersDumpAsNullAndParseBack) {
+  Json obj = Json::object();
+  obj.set("x", Json::number(std::numeric_limits<double>::quiet_NaN()));
+  obj.set("y", Json::number(std::numeric_limits<double>::infinity()));
+  obj.set("z", Json::number(-std::numeric_limits<double>::infinity()));
+  const std::string text = obj.dump();
+  EXPECT_EQ(text, R"({"x":null,"y":null,"z":null})");
+  const Json back = Json::parse(text);
+  EXPECT_TRUE(back.at("x").is_null());
+  EXPECT_TRUE(back.at("y").is_null());
+  EXPECT_TRUE(back.at("z").is_null());
+}
+
+TEST(ScenarioJson, EveryControlByteRoundTripsEscaped) {
+  std::string raw = "\"\\/";
+  for (char c = 1; c < 0x20; ++c) raw.push_back(c);
+  const std::string text = Json::string(raw).dump();
+  for (const char c : text) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << text;
+  }
+  EXPECT_EQ(Json::parse(text).str(), raw);
 }
 
 TEST(ScenarioJson, TypeMismatchesFailLoudly) {

@@ -74,6 +74,21 @@ TEST(ServeSim, SameSeedReplaysBitForBit) {
   EXPECT_EQ(a.engine().now(), b.engine().now());
 }
 
+// Absolute values for one configuration, so a change to how latencies are
+// recorded or folded cannot move a bucket unnoticed (the replay test above
+// only compares two runs of the same build).
+TEST(ServeSim, LatencyHistogramIsPinned) {
+  ServeSim sim(quick_config(0.8, LbPolicy::kPo2c));
+  const ServeResult r = sim.run();
+  EXPECT_EQ(r.latency_ns.count(), 12858u);
+  EXPECT_EQ(r.latency_ns.sum(), 383700164u);
+  EXPECT_EQ(r.latency_ns.max(), 201511u);
+  EXPECT_DOUBLE_EQ(r.p50_us(), 24.140799999999999);
+  EXPECT_DOUBLE_EQ(r.p99_us(), 107.19232000000001);
+  EXPECT_DOUBLE_EQ(r.p999_us(), 153.01427200000114);
+  EXPECT_EQ(sim.live_p99_us(), r.p99_us());
+}
+
 TEST(ServeSim, DifferentSeedsDiverge) {
   ServeConfig cfg = quick_config(0.8, LbPolicy::kRandom);
   ServeSim a(cfg);

@@ -1,22 +1,26 @@
 // D1 — DES core throughput: the ceiling on every other experiment.
 //
 // Measures schedule/fire and schedule/cancel event throughput of the pooled
-// timer-wheel + 4-ary-heap engine against an in-file replica of the seed
-// engine
+// three-tier engine (tick wheel, block wheel, 4-ary heap) against an
+// in-file replica of the seed engine
 // (std::priority_queue + unordered_set cancellation + a callback wrapper
 // that heap-allocates every target, exactly as the seed's UniqueFunction
 // did), plus the coroutine resume rate that bounds simulated-rank progress,
+// a hold-model depth sweep that prices an event by queue depth and delay,
 // and the SweepRunner's multi-core scaling on independent engine instances.
 //
 // Emits BENCH_DES.json and BENCH_SWEEP.json in the working directory so
 // successive PRs have a recorded perf trajectory.  POLARIS_BENCH_BUDGET_MS
 // shrinks the workload for CI smoke runs (default ~2000 ms per section).
+// Exits 1 if far delays cost more than 1.5x near ones at 4,096 pending
+// events: the queue is meant to be O(1) at any depth.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <thread>
@@ -201,6 +205,61 @@ struct RealEngine {
   std::size_t run() { return eng.run(); }
 };
 
+// ------------------------------------------------- depth sweep (hold model)
+//
+// The classic hold model: `depth` pending events, each of which reschedules
+// itself at now + a delay drawn uniformly from [lo, hi] when it fires, so
+// the queue stays exactly `depth` deep.  Near delays (1-4,096 ticks) stay
+// in the tick wheel; far ones (30-50 us) land 7-12 blocks ahead, pdes_cg's
+// shape.  Raw callbacks keep the callback wrapper out of the price.
+
+struct HoldModel {
+  polaris::des::Engine eng;
+  SimTime lo = 1;
+  std::uint32_t span = 1;
+  std::uint64_t remaining = 0;  ///< reschedules left
+  std::uint64_t timed = 0;      ///< the last `timed` of them are timed
+  std::uint32_t lcg = 0x2545F491u;
+  std::chrono::steady_clock::time_point t0, t1;
+
+  SimTime delay() {
+    lcg = lcg * 1664525u + 1013904223u;
+    return lo + static_cast<SimTime>((lcg >> 8) % span);
+  }
+
+  static void fire(void* p) {
+    HoldModel& h = *static_cast<HoldModel*>(p);
+    if (h.remaining == 0) return;
+    if (h.remaining == h.timed) h.t0 = std::chrono::steady_clock::now();
+    --h.remaining;
+    h.eng.schedule_raw_after(h.delay(), &HoldModel::fire, p);
+    if (h.remaining == 0) h.t1 = std::chrono::steady_clock::now();
+  }
+};
+
+/// Nanoseconds per event of the hold model at `depth` pending events with
+/// delays in [lo, hi]; best of three trials, each timing `events` firings
+/// after 2 * depth untimed ones bring the queue to its steady state.
+double bench_hold(std::uint64_t depth, SimTime lo, SimTime hi,
+                  std::uint64_t events) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 3; ++trial) {
+    auto h = std::make_unique<HoldModel>();
+    h->lo = lo;
+    h->span = static_cast<std::uint32_t>(hi - lo + 1);
+    h->timed = events;
+    h->remaining = 2 * depth + events;
+    for (std::uint64_t i = 0; i < depth; ++i) {
+      h->eng.schedule_raw_after(h->delay(), &HoldModel::fire, h.get());
+    }
+    h->eng.run();
+    best = std::min(
+        best, std::chrono::duration<double, std::nano>(h->t1 - h->t0).count() /
+                  static_cast<double>(events));
+  }
+  return best;
+}
+
 // ------------------------------------------------------- sweep scaling
 
 struct SweepOutcome {
@@ -275,7 +334,8 @@ int main() {
 
   // Deep queue: the working depth a few-hundred-rank SimWorld sustains.
   // The seed's binary heap pays O(log n) cache-hostile sifts per event
-  // here; the wheel stays O(1).
+  // here; the wheel stays O(1).  Its delays (1-4,096 ticks) never leave
+  // the tick wheel; the hold sweep below covers far delays.
   const std::uint64_t deep = 256 * 1024;
   const double deep_seed = bench_schedule_fire<SeedEngine>(events, deep);
   const double deep_new = bench_schedule_fire<RealEngine>(events, deep);
@@ -299,7 +359,9 @@ int main() {
   bench::Report des_report(
       "bench_d1_des_core",
       "DES engine schedule/fire/cancel throughput, seed replica vs pooled "
-      "timer-wheel + 4-ary-heap engine, plus coroutine resume rate");
+      "three-tier engine (tick wheel, block wheel, 4-ary heap), coroutine "
+      "resume rate, and a hold-model depth sweep with near and far delays");
+  des_report.note_provenance();
   des_report.note("budget_ms", std::to_string(budget_ms));
   des_report.note("queue_depth", std::to_string(depth));
   des_report.note("deep_queue_depth", std::to_string(deep));
@@ -317,6 +379,40 @@ int main() {
   des_report.add("schedule_cancel.speedup", cancel_new / cancel_seed, "x");
   des_report.add("pooled.coroutine_resume.resumes_per_sec", resume,
                  "resumes/s");
+
+  // Depth sweep.  Each point times at least four full turnovers of its
+  // queue, so the deepest points take longer than the budget suggests.
+  constexpr std::uint64_t kGateDepth = 4096;
+  constexpr double kMaxFarNearRatio = 1.5;
+  const auto hold_events = std::max<std::uint64_t>(
+      200'000, static_cast<std::uint64_t>(budget_ms * 250.0));
+  std::cout << "\n";
+  support::Table ht(
+      "D1c: hold-model depth sweep, ns per event (near: 1-4,096 ticks, "
+      "far: 30-50 us)");
+  ht.header({"pending", "near", "far", "far/near"});
+  double gate_ratio = 0.0;
+  for (const std::uint64_t hold_depth : {256, 4096, 16384, 65536}) {
+    const std::uint64_t n = std::max(hold_events, 4 * hold_depth);
+    const double near = bench_hold(hold_depth, 1, 4096, n);
+    const double far = bench_hold(hold_depth, 30'000, 50'000, n);
+    const double ratio = far / near;
+    if (hold_depth == kGateDepth) gate_ratio = ratio;
+    ht.add(hold_depth, support::Table::to_cell(near),
+           support::Table::to_cell(far), support::Table::to_cell(ratio));
+    const std::string at = ".d" + std::to_string(hold_depth);
+    des_report.add("hold.near" + at + ".ns_per_event", near, "ns");
+    des_report.add("hold.far" + at + ".ns_per_event", far, "ns");
+    des_report.add("hold.far_near_ratio" + at, ratio, "x");
+  }
+  ht.print(std::cout);
+  const bool shape_ok = gate_ratio <= kMaxFarNearRatio;
+  if (!shape_ok) {
+    std::cerr << "FAIL: far/near cost ratio " << gate_ratio << " at "
+              << kGateDepth << " pending exceeds " << kMaxFarNearRatio
+              << "\n";
+  }
+
   if (!des_report.write_file("BENCH_DES.json")) {
     std::cerr << "warning: could not write BENCH_DES.json\n";
   }
@@ -356,5 +452,5 @@ int main() {
   }
 
   std::cout << "\nWrote BENCH_DES.json and BENCH_SWEEP.json.\n";
-  return sw.identical ? 0 : 1;
+  return sw.identical && shape_ok ? 0 : 1;
 }

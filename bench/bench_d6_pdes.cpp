@@ -184,13 +184,13 @@ int main() {
   const pdes::Result capr = pdes::run(cap);
   support::Table ctab("D6c: capacity — " + std::to_string(cap_dim) + "x" +
                       std::to_string(cap_dim) + " torus, 2 iters, 8 shards");
-  ctab.header({"ranks", "ok", "events", "wall s", "events/s", "peak ev nodes",
-               "peak msg recs"});
+  ctab.header({"ranks", "ok", "events", "wall s", "events/s",
+               "peak ev nodes"});
   ctab.add(cap_dim * cap_dim, capr.ranks_ok, capr.events, capr.wall_s,
            capr.wall_s > 0.0
                ? static_cast<double>(capr.events) / capr.wall_s
                : 0.0,
-           capr.peak_event_nodes, capr.peak_inflight_recs);
+           capr.peak_event_nodes);
   ctab.print(std::cout);
   if (capr.ranks_ok != cap_dim * cap_dim) {
     std::cerr << "FATAL: capacity run stranded "

@@ -31,6 +31,11 @@ class Report {
     notes_.emplace_back(std::move(key), std::move(value));
   }
 
+  /// Notes where the numbers were measured: nproc, cpu, compiler,
+  /// build_type and commit (`git describe --always --dirty` of the source
+  /// tree, "unknown" outside a checkout).
+  void note_provenance();
+
   void write(std::ostream& os) const;
 
   /// Writes the JSON file; returns false when the file can't be opened.

@@ -51,11 +51,28 @@ void Engine::heap_pop_top() {
   heap_[hole] = item;
 }
 
-// ----------------------------------------------------------- timer wheel
+// ----------------------------------------------------------- tick wheel
 //
 // The occupancy bitmap has one bit per bucket and a summary bit per 64
 // buckets, so finding the next occupied bucket is two masked
 // count-trailing-zeros probes regardless of how sparse the wheel is.
+
+inline bool Engine::append(Bucket& bk, std::uint32_t slot) {
+  pool_[slot].next = kNilSlot;
+  if (bk.head == kNilSlot) {
+    bk.head = bk.tail = slot;
+    return true;
+  }
+  pool_[bk.tail].next = slot;
+  bk.tail = slot;
+  return false;
+}
+
+inline void Engine::wheel_push(std::uint32_t slot) {
+  const std::size_t b = static_cast<std::size_t>(pool_[slot].t) & kWheelMask;
+  if (append(buckets_[b], slot)) set_bucket_bit(b);
+  ++wheel_count_;
+}
 
 void Engine::set_bucket_bit(std::size_t b) {
   bitmap_[b >> 6] |= std::uint64_t{1} << (b & 63);
@@ -105,6 +122,104 @@ void Engine::unlink_bucket_head(std::size_t b) {
   --wheel_count_;
 }
 
+// ----------------------------------------------------------- block wheel
+//
+// Bucket i holds the one block in [now's block + 2, now's block + 257]
+// congruent to i, in schedule order.  A block leaves the block wheel only
+// by cascading into the tick wheel when the clock enters the block before
+// it (or jumps into it), so each tick bucket receives a block's events in
+// sequence order before any later-scheduled event of that block.
+
+void Engine::block_push(std::uint32_t slot) {
+  if (blocks_.empty()) blocks_.resize(kBlockSlots);
+  const std::size_t i =
+      static_cast<std::size_t>(block_of(pool_[slot].t)) & kBlockMask;
+  if (append(blocks_[i], slot)) {
+    block_bitmap_[i >> 6] |= std::uint64_t{1} << (i & 63);
+  }
+  ++block_count_;
+}
+
+std::size_t Engine::first_block_bucket() const {
+  constexpr std::uint64_t kAll = ~std::uint64_t{0};
+  const std::size_t from =
+      static_cast<std::size_t>(block_of(now_) + 2) & kBlockMask;
+  // The last round revisits the start word unmasked: the wrap-around part.
+  for (std::size_t k = 0; k <= kBlockWords; ++k) {
+    const std::size_t w = ((from >> 6) + k) % kBlockWords;
+    const std::uint64_t word =
+        block_bitmap_[w] & (k == 0 ? kAll << (from & 63) : kAll);
+    if (word != 0) {
+      return (w << 6) | static_cast<std::size_t>(std::countr_zero(word));
+    }
+  }
+  POLARIS_CHECK_MSG(false, "first_block_bucket on an empty block wheel");
+  return 0;
+}
+
+void Engine::cascade(std::size_t i) {
+  Bucket& bk = blocks_[i];
+  for (std::uint32_t s = bk.head; s != kNilSlot;) {
+    const std::uint32_t next = pool_[s].next;
+    if (pool_[s].cancelled) {
+      release_node(s);
+      ++stats_.cancelled_skipped;
+    } else {
+      wheel_push(s);
+    }
+    --block_count_;
+    s = next;
+  }
+  bk = Bucket{};
+  block_bitmap_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+}
+
+void Engine::enter_block(SimTime t) {
+  // Blocks a+2 .. b+1 leave the block wheel's range.  Blocks b and b+1
+  // now belong to the tick wheel; an earlier one would hold an event the
+  // clock passed.
+  const std::uint64_t a = block_of(now_);
+  const std::uint64_t b = block_of(t);
+  const std::uint64_t last = std::min(b + 1, a + 1 + kBlockSlots);
+  while (block_count_ != 0) {
+    const std::size_t i = first_block_bucket();
+    const std::uint64_t k = a + 2 + ((i - (a + 2)) & kBlockMask);
+    if (k > last) break;
+    POLARIS_CHECK_MSG(k >= b, "the clock passed a queued block");
+    cascade(i);
+  }
+}
+
+bool Engine::jump(SimTime until) {
+  reap_cancelled_top();
+  while (block_count_ != 0) {
+    const std::size_t i = first_block_bucket();
+    SimTime earliest = kNoEventTime;
+    for (std::uint32_t s = blocks_[i].head; s != kNilSlot; s = pool_[s].next) {
+      if (!pool_[s].cancelled) earliest = std::min(earliest, pool_[s].t);
+    }
+    if (earliest == kNoEventTime) {
+      cascade(i);  // only tombstones: reaps them all
+      continue;
+    }
+    if (earliest > until || (!heap_.empty() && heap_[0].t < earliest)) {
+      return false;
+    }
+    set_clock(earliest);
+    return true;
+  }
+  return false;
+}
+
+SimTime Engine::block_min_time() const {
+  SimTime best = kNoEventTime;
+  for (std::uint32_t s = blocks_[first_block_bucket()].head; s != kNilSlot;
+       s = pool_[s].next) {
+    best = std::min(best, pool_[s].t);
+  }
+  return best;
+}
+
 // ----------------------------------------------------------- node pool
 
 std::uint32_t Engine::acquire_node() {
@@ -146,18 +261,11 @@ EventId Engine::schedule_at(SimTime t, Callback&& cb) {
   n.seq = seq;
   n.cb = std::move(cb);
   if (n.cb.heap_allocated()) ++stats_.sbo_misses;
-  if (static_cast<std::uint64_t>(t - now_) < kWheelSpan) {
-    const std::size_t b = static_cast<std::size_t>(t) & kWheelMask;
-    Bucket& bk = buckets_[b];
-    n.next = kNilSlot;
-    if (bk.head == kNilSlot) {
-      bk.head = bk.tail = slot;
-      set_bucket_bit(b);
-    } else {
-      pool_[bk.tail].next = slot;
-      bk.tail = slot;
-    }
-    ++wheel_count_;
+  const std::uint64_t ahead = block_of(t) - block_of(now_);
+  if (ahead <= 1) {
+    wheel_push(slot);
+  } else if (ahead < 2 + kBlockSlots) {
+    block_push(slot);
   } else {
     heap_push(HeapEntry{t, seq, slot});
   }
@@ -185,25 +293,29 @@ bool Engine::step() { return step_bounded(std::numeric_limits<SimTime>::max()); 
 bool Engine::step_bounded(SimTime until) {
   if (stopped_) return false;
   // Wheel candidate: reap tombstoned bucket heads lazily until a live
-  // event (or nothing) fronts the wheel.
+  // event (or nothing) fronts the tick wheel.  A dry tick wheel refills
+  // from the block wheel by jumping the clock.
   std::uint32_t wheel_slot = kNilSlot;
   std::size_t wheel_bucket = 0;
-  while (wheel_count_ != 0) {
-    const std::size_t b =
-        next_bucket(static_cast<std::size_t>(now_) & kWheelMask);
-    const std::uint32_t head = buckets_[b].head;
-    if (pool_[head].cancelled) {
-      unlink_bucket_head(b);
-      release_node(head);
-      ++stats_.cancelled_skipped;
-      continue;
+  for (;;) {
+    while (wheel_count_ != 0) {
+      const std::size_t b =
+          next_bucket(static_cast<std::size_t>(now_) & kWheelMask);
+      const std::uint32_t head = buckets_[b].head;
+      if (pool_[head].cancelled) {
+        unlink_bucket_head(b);
+        release_node(head);
+        ++stats_.cancelled_skipped;
+        continue;
+      }
+      wheel_slot = head;
+      wheel_bucket = b;
+      break;
     }
-    wheel_slot = head;
-    wheel_bucket = b;
-    break;
+    if (wheel_slot != kNilSlot || block_count_ == 0 || !jump(until)) break;
   }
-  // Heap candidate, then merge: heap times drift into the wheel window as
-  // now() advances, so ties on time break on sequence number.
+  // Heap candidate, then merge: heap times drift into the tick wheel's
+  // range as now() advances, so ties on time break on sequence number.
   reap_cancelled_top();
   std::uint32_t slot;
   bool from_wheel;
@@ -228,7 +340,7 @@ bool Engine::step_bounded(SimTime until) {
   } else {
     heap_pop_top();
   }
-  now_ = n.t;
+  set_clock(n.t);
   // Release the node before invoking: the callback may schedule (reusing
   // this slot) and a later cancel of this fired event must see a bumped
   // generation.
@@ -242,12 +354,15 @@ bool Engine::step_bounded(SimTime until) {
 SimTime Engine::next_event_time() const {
   SimTime best = kNoEventTime;
   if (wheel_count_ != 0) {
-    // Wheel buckets are one tick wide and hold only times in
-    // [now, now + span), so the first occupied bucket at/after now's
-    // position (wrapping) fronts the earliest wheel event.
+    // Tick buckets are one tick wide and hold only times in now()'s block
+    // and the next, so the first occupied bucket at/after now's position
+    // (wrapping) fronts the earliest wheel event, and every block-wheel
+    // event is later.
     const std::size_t b =
         next_bucket(static_cast<std::size_t>(now_) & kWheelMask);
     best = pool_[buckets_[b].head].t;
+  } else if (block_count_ != 0) {
+    best = block_min_time();
   }
   if (!heap_.empty() && heap_[0].t < best) best = heap_[0].t;
   return best;
@@ -266,9 +381,11 @@ std::size_t Engine::run_until(SimTime until) {
   stopped_ = false;
   std::size_t n = 0;
   // step_bounded reaps tombstones before the boundary test, so the bound
-  // applies to the next *live* event, not a cancelled placeholder.
+  // applies to the next *live* event, not a cancelled placeholder.  It
+  // returns false unstopped only when that event is past `until` or the
+  // queue is drained, the one case where the clock may move to `until`.
   while (step_bounded(until)) ++n;
-  if (now_ < until) now_ = until;
+  if (!stopped_ && now_ < until) set_clock(until);
   maybe_rethrow();
   return n;
 }

@@ -1,20 +1,38 @@
 // Sequential discrete-event simulation engine.
 //
-// The pending-event set is a two-level structure chosen for the delay
-// distribution DES workloads actually produce:
+// The pending-event set has three tiers, chosen for the delay distribution
+// DES workloads actually produce.  Time is cut into blocks of 4,096 ticks
+// (half the tick wheel), and an event's tier depends on how many blocks
+// ahead of now()'s block it falls:
 //
-//  - A timer wheel of one-tick buckets covering [now, now + 8192) handles
-//    the near future in O(1) per schedule and per pop.  Each bucket is an
-//    intrusive FIFO of pool slots; because a bucket spans exactly one tick,
-//    append order equals sequence order, so wheel pops reproduce the
-//    (time, sequence) order of a comparison queue exactly.  A two-level
-//    bitmap (bit per bucket, summary bit per word) finds the next occupied
-//    bucket with two count-trailing-zeros steps instead of a scan.
-//  - A 4-ary implicit min-heap of (time, sequence) keys holds far-future
-//    events (delay >= the wheel span).  Heap times can fall inside the
-//    wheel window as now() advances, so each pop compares the wheel head
-//    with the heap top and breaks time ties on sequence number — total
-//    order across both structures is identical to a single queue.
+//  - A tick wheel of 8,192 one-tick buckets holds now()'s block and the
+//    next, in O(1) per schedule and per pop.  Each bucket is an intrusive
+//    FIFO of pool slots; because a bucket spans exactly one tick, append
+//    order equals sequence order, so wheel pops reproduce the (time,
+//    sequence) order of a comparison queue exactly.  A two-level bitmap
+//    (bit per bucket, summary bit per word) finds the next occupied bucket
+//    with two count-trailing-zeros steps instead of a scan.
+//  - A block wheel of 256 one-block buckets (about 1 ms at 1 ns ticks)
+//    holds the 256 blocks after those two, also in O(1) per schedule.  It
+//    is allocated on first use, so an engine that never schedules that far
+//    ahead stays as small as a one-wheel engine.  When the clock enters
+//    block b, block b+1's bucket is appended to the tick wheel in list
+//    order, which is schedule (= sequence) order.  No event of block b+1
+//    can reach the tick wheel any earlier (it was two blocks ahead until
+//    now), so every tick bucket stays in sequence order by construction.
+//    When the tick wheel runs dry, one scan of the first occupied block
+//    bucket finds its earliest live time and the clock jumps there, which
+//    cascades that block and the next.
+//  - A 4-ary implicit min-heap of (time, sequence) keys holds everything
+//    further out.  Heap times drift into the wheels' range as now()
+//    advances, so each pop compares the tick-wheel head with the heap top
+//    and breaks time ties on sequence number, and a jump never passes the
+//    heap top — total order across all three tiers is identical to a
+//    single queue.
+//
+// The clock never passes a queued live event: it moves only to the time
+// of the event being run, to a jump target, or (run_until) to a bound that
+// precedes every queued live event.  The cascade relies on this.
 //
 // Event nodes live in a slab pool with a free list: scheduling reuses a
 // node instead of touching the allocator, and callbacks are stored in a
@@ -24,11 +42,10 @@
 // Cancellation is O(1) and leak-free: an EventId carries the node's pool
 // slot plus a generation counter; cancel() flips a tombstone flag on the
 // live node, and the node is reaped (returned to the pool) when it reaches
-// the front of its bucket or the top of the heap.  Firing or reaping bumps
-// the generation, so a stale EventId — including one for an already-fired
-// event — is recognized by the generation mismatch and ignored without
-// retaining any state, unlike the earlier unordered_set design that kept
-// cancelled-after-fire sequence numbers forever.
+// the front of its tick bucket, the top of the heap, or is met by a block
+// scan or cascade.  Firing or reaping bumps the generation, so a stale
+// EventId — including one for an already-fired event — is recognized by
+// the generation mismatch and ignored without retaining any state.
 //
 // Coroutine-based processes (see task.hpp) are resumed exclusively through
 // scheduled events, which bounds recursion depth and gives every resumption
@@ -118,8 +135,10 @@ class Engine {
   /// a process.
   std::size_t run();
 
-  /// Runs events with time <= `until`.  The clock is advanced to `until`
-  /// if the queue drains earlier.  Returns events executed.
+  /// Runs events with time <= `until`.  Returns events executed.  The
+  /// clock is advanced to `until` when every queued live event is later
+  /// (or none is left); after stop() or an escaped exception it stays at
+  /// the last event run, so events still queued never see it go back.
   std::size_t run_until(SimTime until);
 
   /// Requests run() to return after the current event completes.
@@ -144,11 +163,13 @@ class Engine {
   }
 
   /// Current event-queue depth (includes cancelled-but-not-reaped events).
-  std::size_t queue_depth() const { return wheel_count_ + heap_.size(); }
+  std::size_t queue_depth() const {
+    return wheel_count_ + block_count_ + heap_.size();
+  }
 
   /// True when no events remain queued.  A queue holding only cancelled
   /// events reports non-empty until run() reaps past them.
-  bool empty() const { return wheel_count_ == 0 && heap_.empty(); }
+  bool empty() const { return queue_depth() == 0; }
 
   /// Returned by next_event_time() when no events remain queued.
   static constexpr SimTime kNoEventTime = std::numeric_limits<SimTime>::max();
@@ -171,16 +192,23 @@ class Engine {
 
  private:
   static constexpr std::uint32_t kNilSlot = 0xffff'ffffu;
-  /// Wheel geometry: one bucket per simulated tick, span 8192 ticks.
+  /// Tick wheel: one bucket per simulated tick, span 8,192 ticks.
   static constexpr std::size_t kWheelBits = 13;
   static constexpr std::size_t kWheelSpan = std::size_t{1} << kWheelBits;
   static constexpr std::size_t kWheelMask = kWheelSpan - 1;
   static constexpr std::size_t kWheelWords = kWheelSpan / 64;
   static constexpr std::size_t kSummaryWords = kWheelWords / 64;
+  /// Block: half the tick wheel, so the tick wheel holds exactly now()'s
+  /// block and the next.
+  static constexpr std::size_t kBlockBits = kWheelBits - 1;
+  /// Block wheel: 256 one-block buckets for the blocks 2..257 ahead.
+  static constexpr std::size_t kBlockSlots = kWheelSpan / 32;
+  static constexpr std::size_t kBlockMask = kBlockSlots - 1;
+  static constexpr std::size_t kBlockWords = kBlockSlots / 64;
 
   /// Pooled event state.  The (t, seq) key is duplicated into the heap
   /// entry so sift compares never chase the pool pointer; `next` chains
-  /// wheel-bucket FIFOs.
+  /// tick- and block-bucket FIFOs.
   struct EventNode {
     Callback cb;
     SimTime t = 0;
@@ -205,6 +233,9 @@ class Engine {
     if (a.t != b.t) return a.t < b.t;
     return a.seq < b.seq;
   }
+  static std::uint64_t block_of(SimTime t) {
+    return static_cast<std::uint64_t>(t) >> kBlockBits;
+  }
 
   void heap_push(HeapEntry e);
   void heap_pop_top();
@@ -213,12 +244,36 @@ class Engine {
   void release_node(std::uint32_t slot);
   void reap_cancelled_top();  ///< Reaps tombstones sitting at the heap top.
 
+  /// Appends `slot` to `bk`; returns true when the bucket was empty.
+  [[gnu::always_inline]] bool append(Bucket& bk, std::uint32_t slot);
+  /// Into its tick bucket; inlined so scheduling a near event stays as
+  /// cheap as with the tick wheel alone.
+  [[gnu::always_inline]] void wheel_push(std::uint32_t slot);
   void set_bucket_bit(std::size_t b);
   void clear_bucket_bit(std::size_t b);
   /// Index of the next occupied bucket at/after position `from`, wrapping.
   /// Precondition: wheel_count_ > 0.
   std::size_t next_bucket(std::size_t from) const;
   void unlink_bucket_head(std::size_t b);
+
+  // Block wheel, cascade and jump: off the tick-wheel fast path.
+  [[gnu::noinline]] void block_push(std::uint32_t slot);
+  /// Index of the earliest block's bucket.  Precondition: block_count_ > 0.
+  std::size_t first_block_bucket() const;
+  /// Moves block bucket `i` into the tick wheel, reaping its tombstones.
+  void cascade(std::size_t i);
+  /// Cascades the blocks that enter the tick wheel's range as the clock
+  /// moves to `t`, a later block than now()'s.
+  [[gnu::noinline]] void enter_block(SimTime t);
+  /// Tick wheel dry: jumps the clock to the earliest live block-wheel
+  /// event if it is <= `until` and not after the heap top.  Returns
+  /// whether the tick wheel now holds that event.
+  [[gnu::noinline]] bool jump(SimTime until);
+  [[gnu::noinline]] SimTime block_min_time() const;
+  void set_clock(SimTime t) {
+    if (block_of(t) != block_of(now_)) enter_block(t);
+    now_ = t;
+  }
 
   bool step();  ///< Executes one event; returns false when drained/stopped.
   bool step_bounded(SimTime until);  ///< step(), but not past `until`.
@@ -230,7 +285,10 @@ class Engine {
   std::vector<Bucket> buckets_;      ///< kWheelSpan one-tick FIFOs
   std::uint64_t bitmap_[kWheelWords] = {};   ///< bit per occupied bucket
   std::uint64_t summary_[kSummaryWords] = {};  ///< bit per nonzero word
-  std::size_t wheel_count_ = 0;  ///< events currently in the wheel
+  std::size_t wheel_count_ = 0;  ///< events currently in the tick wheel
+  std::vector<Bucket> blocks_;   ///< kBlockSlots one-block FIFOs, lazy
+  std::uint64_t block_bitmap_[kBlockWords] = {};  ///< bit per occupied block
+  std::size_t block_count_ = 0;  ///< events currently in the block wheel
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;

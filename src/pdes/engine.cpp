@@ -178,7 +178,6 @@ Result ShardedEngine::run() {
     res.msgs_cross += w->msgs_cross();
     res.nacks += w->nacks();
     res.peak_event_nodes += w->peak_event_nodes();
-    res.peak_inflight_recs += w->peak_inflight_recs();
     // Workers quiesced at join: each shard's histograms are final.
     res.window_ns.merge_from(w->window_ns());
     res.window_events.merge_from(w->window_events());
@@ -229,8 +228,6 @@ void export_metrics(const Result& r, obs::MetricsRegistry& reg) {
   reg.gauge("pdes.sim_seconds").set(r.sim_seconds);
   reg.gauge("pdes.peak_event_nodes")
       .observe_max(static_cast<double>(r.peak_event_nodes));
-  reg.gauge("pdes.peak_inflight_recs")
-      .observe_max(static_cast<double>(r.peak_inflight_recs));
   reg.log_histogram("pdes.window_ns").merge_from(r.window_ns);
   reg.log_histogram("pdes.window_events").merge_from(r.window_events);
   reg.log_histogram("pdes.drain_batch").merge_from(r.drain_batch);

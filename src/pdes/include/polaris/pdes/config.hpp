@@ -99,8 +99,7 @@ struct Result {
   std::uint64_t parks = 0;        ///< barrier sleeps (idle-time proxy)
 
   // -- memory ---------------------------------------------------------------
-  std::uint64_t peak_event_nodes = 0;   ///< max engine pool occupancy (sum)
-  std::uint64_t peak_inflight_recs = 0; ///< max message arena occupancy (sum)
+  std::uint64_t peak_event_nodes = 0;  ///< max engine pool occupancy (sum)
 
   // -- per-shard hot-path timers, merged at export --------------------------
   obs::LogHistogram window_ns;      ///< per-shard per-window busy time

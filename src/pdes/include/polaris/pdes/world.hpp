@@ -4,9 +4,11 @@
 // Ranks are not coroutines here.  At 10^6 ranks a coroutine frame per rank
 // (simrt's model) is gigabytes of stacks; a pdes rank is a ~40-byte record
 // driven by four event kinds (phase start, payload arrival, NACK arrival,
-// crash), and a message in flight is a pooled 32-byte arena record.  The
-// price is generality — only the halo / allreduce / CG traffic shapes are
-// expressible — which is exactly the trade the scale explosion calls for.
+// crash), and a message in flight is a 24-byte trivially copyable closure
+// held in its engine event's inline callback storage, so a delivery costs
+// one pooled engine node and nothing else.  The price is generality — only
+// the halo / allreduce / CG traffic shapes are expressible — which is
+// exactly the trade the scale explosion calls for.
 //
 // Timing model (LogGP-flavored, closed form, no shared link state): the
 // i-th message a rank issues at phase start T injects at T + i*o_send,
@@ -27,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "polaris/des/engine.hpp"
@@ -106,7 +107,6 @@ class ShardWorld {
   std::uint64_t peak_event_nodes() const {
     return engine_.stats().max_pool_in_use;
   }
-  std::uint64_t peak_inflight_recs() const { return recs_.size(); }
   const obs::LogHistogram& window_ns() const { return window_ns_; }
   const obs::LogHistogram& window_events() const { return window_events_; }
   const obs::LogHistogram& drain_batch() const { return drain_batch_; }
@@ -120,11 +120,9 @@ class ShardWorld {
     kCrash = 3,
   };
 
-  /// Pooled in-flight record: the ctx of one scheduled delivery/control
-  /// event.  Slots live in a deque (address-stable) with a free list.
+  /// One scheduled delivery/control event, captured by value in the event's
+  /// callback together with the world pointer.
   struct MsgRec {
-    ShardWorld* world = nullptr;
-    std::uint32_t slot = 0;
     std::uint32_t src = 0;    ///< global rank (payload sender / NACK origin)
     std::uint32_t dst = 0;    ///< local rank index on this shard
     std::uint32_t phase = 0;
@@ -146,8 +144,6 @@ class ShardWorld {
     std::uint64_t bytes = 0;
   };
 
-  static void on_event(void* ctx);
-
   void dispatch(const MsgRec& rec);
   void start_phase(std::uint32_t lr, std::uint32_t p);
   void on_payload(const MsgRec& rec);
@@ -166,7 +162,6 @@ class ShardWorld {
   void schedule_rec(des::SimTime t, std::uint32_t src_g,
                     std::uint32_t dst_local, Kind kind, std::uint8_t status,
                     std::uint8_t lane, std::uint32_t phase);
-  void release_rec(std::uint32_t slot);
 
   PhaseInfo phase_info(std::uint32_t p) const;
   des::SimTime gap_before(std::uint32_t next_p) const;
@@ -194,8 +189,6 @@ class ShardWorld {
   des::Engine engine_;
   std::vector<RankState> ranks_;
   support::FlatMap64<Parked> parked_;
-  std::deque<MsgRec> recs_;
-  std::vector<std::uint32_t> free_recs_;
   std::vector<fabric::ShardHandoff> scratch_;
 
   des::SimTime cur_until_ = -1;  ///< current window's inclusive bound

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "polaris/fabric/network.hpp"
 #include "polaris/pdes/engine.hpp"
@@ -104,14 +106,6 @@ void ShardWorld::run_window(des::SimTime until) {
   const std::size_t n = engine_.run_until(until);
   events_ += n;
   window_events_.record(n);
-}
-
-void ShardWorld::on_event(void* ctx) {
-  auto* rec = static_cast<MsgRec*>(ctx);
-  ShardWorld* w = rec->world;
-  const MsgRec copy = *rec;
-  w->release_rec(copy.slot);  // before dispatch: the handler may reschedule
-  w->dispatch(copy);
 }
 
 void ShardWorld::dispatch(const MsgRec& rec) {
@@ -289,28 +283,12 @@ void ShardWorld::schedule_rec(des::SimTime t, std::uint32_t src_g,
                               std::uint32_t dst_local, Kind kind,
                               std::uint8_t status, std::uint8_t lane,
                               std::uint32_t phase) {
-  std::uint32_t slot;
-  if (!free_recs_.empty()) {
-    slot = free_recs_.back();
-    free_recs_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(recs_.size());
-    recs_.emplace_back();
-  }
-  MsgRec& rec = recs_[slot];
-  rec.world = this;
-  rec.slot = slot;
-  rec.src = src_g;
-  rec.dst = dst_local;
-  rec.phase = phase;
-  rec.kind = kind;
-  rec.status = status;
-  rec.lane = lane;
-  engine_.schedule_raw_at(t, &ShardWorld::on_event, &rec);
-}
-
-void ShardWorld::release_rec(std::uint32_t slot) {
-  free_recs_.push_back(slot);
+  const MsgRec rec{src_g, dst_local, phase, kind, status, lane};
+  auto deliver = [this, rec] { dispatch(rec); };
+  static_assert(sizeof(deliver) == 24 &&
+                    std::is_trivially_copyable_v<decltype(deliver)>,
+                "a delivery must stay on the engine's inline memcpy path");
+  engine_.schedule_at(t, std::move(deliver));
 }
 
 ShardWorld::PhaseInfo ShardWorld::phase_info(std::uint32_t p) const {

@@ -10,12 +10,20 @@
 // Batched try_push_n/try_pop_n amortize the index round-trip: one acquire
 // load and one release store cover the whole batch, so draining a deep ring
 // costs two fences instead of two per element.
+//
+// A push writes a slot before any pop reads it, so slots of implicit-
+// lifetime, trivially copyable element types (message descriptors, pdes
+// handoffs) are left unwritten at construction: their pages fault in as
+// the ring first fills, not all at once when it is built.  Other element
+// types keep value-initialized slots.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -147,6 +155,25 @@ class SpscRing {
   std::size_t capacity() const { return mask_; }  // usable slots
 
  private:
+  /// Uninitialized slot storage; allocation implicitly creates the
+  /// elements, each of which a push assigns before it is read.
+  class RawSlots {
+   public:
+    explicit RawSlots(std::size_t n)
+        : n_(n), p_(std::allocator<T>{}.allocate(n)) {}
+    RawSlots(const RawSlots&) = delete;
+    RawSlots& operator=(const RawSlots&) = delete;
+    ~RawSlots() { std::allocator<T>{}.deallocate(p_, n_); }
+    T& operator[](std::size_t i) { return p_[i]; }
+
+   private:
+    std::size_t n_;
+    T* p_;
+  };
+  static constexpr bool kRawSlots =
+      std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T> &&
+      (std::is_aggregate_v<T> || std::is_trivially_default_constructible_v<T>);
+
   template <typename Store>
   bool emplace_impl(Store&& store) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
@@ -162,7 +189,7 @@ class SpscRing {
   alignas(kCacheLine) std::atomic<std::size_t> head_{0};  // producer writes
   alignas(kCacheLine) std::atomic<std::size_t> tail_{0};  // consumer writes
   alignas(kCacheLine) std::size_t mask_;  // read-only after construction
-  std::vector<T> slots_;
+  std::conditional_t<kRawSlots, RawSlots, std::vector<T>> slots_;
 };
 
 }  // namespace polaris::rt

@@ -63,12 +63,18 @@ TEST(Engine, RejectsSchedulingInThePast) {
 }
 
 TEST(Engine, CancelPreventsExecution) {
+  // One cancelled event per tier: tick wheel, block wheel, heap.  None
+  // runs, and none moves the clock past the last event that did.
   Engine e;
   bool ran = false;
-  auto id = e.schedule_at(10, [&] { ran = true; });
-  e.cancel(id);
+  e.schedule_at(5, [] {});
+  for (const SimTime t : {10, 50'000, 5'000'000}) {
+    e.cancel(e.schedule_at(t, [&] { ran = true; }));
+  }
   e.run();
   EXPECT_FALSE(ran);
+  EXPECT_EQ(e.now(), 5);
+  EXPECT_EQ(e.stats().cancelled_skipped, 3u);
 }
 
 TEST(Engine, CancelOfFiredEventIsNoop) {
@@ -109,6 +115,20 @@ TEST(Engine, RunUntilStopsAtBoundary) {
   EXPECT_EQ(e.now(), 25);
   e.run();
   EXPECT_EQ(fired, (std::vector<SimTime>{10, 20, 30, 40}));
+}
+
+TEST(Engine, StoppedRunUntilKeepsClockAtLastEvent) {
+  // A run_until cut short by stop() must not move the clock past events
+  // still queued: the next slice would run them with now() going back.
+  Engine e;
+  SimTime f_at = -1;
+  e.schedule_at(10, [&e] { e.stop(); });
+  e.schedule_at(20, [&] { f_at = e.now(); });
+  EXPECT_EQ(e.run_until(100), 1u);
+  EXPECT_EQ(e.now(), 10);
+  EXPECT_EQ(e.run_until(200), 1u);
+  EXPECT_EQ(f_at, 20);
+  EXPECT_EQ(e.now(), 200);
 }
 
 TEST(Engine, RunUntilAdvancesClockOnEmptyQueue) {
@@ -322,11 +342,17 @@ TEST(Engine, NextEventTimeOnEmptyEngineIsSentinel) {
 
 TEST(Engine, NextEventTimeSeesWheelAndHeap) {
   Engine e;
-  e.schedule_at(3, [] {});          // near: timing-wheel window
-  e.schedule_at(3 + 50000, [] {});  // far: overflow heap
+  e.schedule_at(3, [] {});              // near: tick wheel
+  e.schedule_at(3 + 50000, [] {});      // ~12 blocks ahead: block wheel
+  e.schedule_at(3 + 49500, [] {});      // same block, earlier, not its head
+  e.schedule_at(3 + 5'000'000, [] {});  // beyond ~1 ms: heap
   EXPECT_EQ(e.next_event_time(), 3);
   e.run_until(3);
-  EXPECT_EQ(e.next_event_time(), 3 + 50000);
+  EXPECT_EQ(e.next_event_time(), 3 + 49500);
+  e.run_until(3 + 50000);
+  EXPECT_EQ(e.next_event_time(), 3 + 5'000'000);
+  e.run();
+  EXPECT_EQ(e.now(), 3 + 5'000'000);
 }
 
 TEST(Engine, NextEventTimeIsALowerBoundUnderCancel) {

@@ -6,7 +6,8 @@
 //      1/2/4/8 shards.  Two speedups are reported and must be read
 //      differently:
 //        - speedup_wall: end-to-end wall clock.  Honest but machine-bound;
-//          on a single-core container it cannot exceed 1.
+//          on a single-core container it cannot exceed 1.  CI gates it at
+//          >= 2x when the file's nproc note says the host had >= 4 cores.
 //        - speedup_critical_path: serial work (1-shard sum_busy) divided by
 //          the busiest shard's work at 8 shards (max_shard_busy).  This is
 //          the wall-clock a perfectly parallel host would see, measured —
@@ -133,6 +134,7 @@ int main() {
   bench::Report report("bench_d6_pdes",
                        "sharded parallel DES: strong scaling at 64k ranks "
                        "and a million-rank capacity run");
+  report.note_provenance();
   report.note("budget_ms", std::to_string(budget_ms));
   report.note("scale", full ? "full" : "mini");
 

@@ -58,18 +58,18 @@ void Engine::heap_pop_top() {
 // count-trailing-zeros probes regardless of how sparse the wheel is.
 
 inline bool Engine::append(Bucket& bk, std::uint32_t slot) {
-  pool_[slot].next = kNilSlot;
+  hot_[slot].next = kNilSlot;
   if (bk.head == kNilSlot) {
     bk.head = bk.tail = slot;
     return true;
   }
-  pool_[bk.tail].next = slot;
+  hot_[bk.tail].next = slot;
   bk.tail = slot;
   return false;
 }
 
 inline void Engine::wheel_push(std::uint32_t slot) {
-  const std::size_t b = static_cast<std::size_t>(pool_[slot].t) & kWheelMask;
+  const std::size_t b = static_cast<std::size_t>(hot_[slot].t) & kWheelMask;
   if (append(buckets_[b], slot)) set_bucket_bit(b);
   ++wheel_count_;
 }
@@ -113,7 +113,7 @@ std::size_t Engine::next_bucket(std::size_t from) const {
 
 void Engine::unlink_bucket_head(std::size_t b) {
   Bucket& bk = buckets_[b];
-  const std::uint32_t next = pool_[bk.head].next;
+  const std::uint32_t next = hot_[bk.head].next;
   bk.head = next;
   if (next == kNilSlot) {
     bk.tail = kNilSlot;
@@ -133,7 +133,7 @@ void Engine::unlink_bucket_head(std::size_t b) {
 void Engine::block_push(std::uint32_t slot) {
   if (blocks_.empty()) blocks_.resize(kBlockSlots);
   const std::size_t i =
-      static_cast<std::size_t>(block_of(pool_[slot].t)) & kBlockMask;
+      static_cast<std::size_t>(block_of(hot_[slot].t)) & kBlockMask;
   if (append(blocks_[i], slot)) {
     block_bitmap_[i >> 6] |= std::uint64_t{1} << (i & 63);
   }
@@ -160,10 +160,9 @@ std::size_t Engine::first_block_bucket() const {
 void Engine::cascade(std::size_t i) {
   Bucket& bk = blocks_[i];
   for (std::uint32_t s = bk.head; s != kNilSlot;) {
-    const std::uint32_t next = pool_[s].next;
-    if (pool_[s].cancelled) {
-      release_node(s);
-      ++stats_.cancelled_skipped;
+    const std::uint32_t next = hot_[s].next;
+    if (cancelled(s)) {
+      reap_node(s);
     } else {
       wheel_push(s);
     }
@@ -195,8 +194,8 @@ bool Engine::jump(SimTime until) {
   while (block_count_ != 0) {
     const std::size_t i = first_block_bucket();
     SimTime earliest = kNoEventTime;
-    for (std::uint32_t s = blocks_[i].head; s != kNilSlot; s = pool_[s].next) {
-      if (!pool_[s].cancelled) earliest = std::min(earliest, pool_[s].t);
+    for (std::uint32_t s = blocks_[i].head; s != kNilSlot; s = hot_[s].next) {
+      if (!cancelled(s)) earliest = std::min(earliest, hot_[s].t);
     }
     if (earliest == kNoEventTime) {
       cascade(i);  // only tombstones: reaps them all
@@ -214,8 +213,8 @@ bool Engine::jump(SimTime until) {
 SimTime Engine::block_min_time() const {
   SimTime best = kNoEventTime;
   for (std::uint32_t s = blocks_[first_block_bucket()].head; s != kNilSlot;
-       s = pool_[s].next) {
-    best = std::min(best, pool_[s].t);
+       s = hot_[s].next) {
+    best = std::min(best, hot_[s].t);
   }
   return best;
 }
@@ -228,25 +227,30 @@ std::uint32_t Engine::acquire_node() {
     free_.pop_back();
     return slot;
   }
-  const auto slot = static_cast<std::uint32_t>(pool_.size());
-  pool_.emplace_back();
+  const auto slot = static_cast<std::uint32_t>(hot_.size());
+  hot_.emplace_back();
+  cold_.emplace_back();
   return slot;
 }
 
 void Engine::release_node(std::uint32_t slot) {
-  EventNode& n = pool_[slot];
-  n.cb = Callback();  // drop captured state (coroutine handles, owners) now
-  n.cancelled = false;
-  ++n.gen;  // invalidates every outstanding EventId for this slot
+  // Clears the tombstone and advances the generation, invalidating every
+  // outstanding EventId for this slot.
+  hot_[slot].gen = (hot_[slot].gen | kCancelled) + 1;
   free_.push_back(slot);
 }
 
+void Engine::reap_node(std::uint32_t slot) {
+  cold_[slot].cb = Callback();  // drop captured state (handles, owners) now
+  release_node(slot);
+  ++stats_.cancelled_skipped;
+}
+
 void Engine::reap_cancelled_top() {
-  while (!heap_.empty() && pool_[heap_[0].slot].cancelled) {
+  while (!heap_.empty() && cancelled(heap_[0].slot)) {
     const std::uint32_t slot = heap_[0].slot;
     heap_pop_top();
-    release_node(slot);
-    ++stats_.cancelled_skipped;
+    reap_node(slot);
   }
 }
 
@@ -256,11 +260,11 @@ EventId Engine::schedule_at(SimTime t, Callback&& cb) {
   POLARIS_CHECK_MSG(t >= now_, "cannot schedule into the simulated past");
   const std::uint64_t seq = next_seq_++;
   const std::uint32_t slot = acquire_node();
-  EventNode& n = pool_[slot];
-  n.t = t;
-  n.seq = seq;
-  n.cb = std::move(cb);
-  if (n.cb.heap_allocated()) ++stats_.sbo_misses;
+  hot_[slot].t = t;
+  ColdNode& c = cold_[slot];
+  c.seq = seq;
+  c.cb = std::move(cb);
+  if (c.cb.heap_allocated()) ++stats_.sbo_misses;
   const std::uint64_t ahead = block_of(t) - block_of(now_);
   if (ahead <= 1) {
     wheel_push(slot);
@@ -272,8 +276,8 @@ EventId Engine::schedule_at(SimTime t, Callback&& cb) {
   ++stats_.scheduled;
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_depth());
   stats_.max_pool_in_use =
-      std::max(stats_.max_pool_in_use, pool_.size() - free_.size());
-  return EventId{slot, n.gen};
+      std::max(stats_.max_pool_in_use, hot_.size() - free_.size());
+  return EventId{slot, hot_[slot].gen};
 }
 
 EventId Engine::schedule_raw_at(SimTime t, RawCallback fn, void* ctx) {
@@ -302,10 +306,9 @@ bool Engine::step_bounded(SimTime until) {
       const std::size_t b =
           next_bucket(static_cast<std::size_t>(now_) & kWheelMask);
       const std::uint32_t head = buckets_[b].head;
-      if (pool_[head].cancelled) {
+      if (cancelled(head)) {
         unlink_bucket_head(b);
-        release_node(head);
-        ++stats_.cancelled_skipped;
+        reap_node(head);
         continue;
       }
       wheel_slot = head;
@@ -320,9 +323,9 @@ bool Engine::step_bounded(SimTime until) {
   std::uint32_t slot;
   bool from_wheel;
   if (wheel_slot != kNilSlot && !heap_.empty()) {
-    const EventNode& wn = pool_[wheel_slot];
+    const SimTime wt = hot_[wheel_slot].t;
     const HeapEntry& h = heap_[0];
-    from_wheel = (wn.t != h.t) ? wn.t < h.t : wn.seq < h.seq;
+    from_wheel = (wt != h.t) ? wt < h.t : cold_[wheel_slot].seq < h.seq;
     slot = from_wheel ? wheel_slot : h.slot;
   } else if (wheel_slot != kNilSlot) {
     from_wheel = true;
@@ -333,18 +336,18 @@ bool Engine::step_bounded(SimTime until) {
   } else {
     return false;
   }
-  EventNode& n = pool_[slot];
-  if (n.t > until) return false;
+  const SimTime t = hot_[slot].t;
+  if (t > until) return false;
   if (from_wheel) {
     unlink_bucket_head(wheel_bucket);
   } else {
     heap_pop_top();
   }
-  set_clock(n.t);
-  // Release the node before invoking: the callback may schedule (reusing
+  set_clock(t);
+  // Release the slot before invoking: the callback may schedule (reusing
   // this slot) and a later cancel of this fired event must see a bumped
   // generation.
-  Callback cb = std::move(n.cb);
+  Callback cb = std::move(cold_[slot].cb);
   release_node(slot);
   ++executed_;
   cb();
@@ -360,7 +363,7 @@ SimTime Engine::next_event_time() const {
     // event is later.
     const std::size_t b =
         next_bucket(static_cast<std::size_t>(now_) & kWheelMask);
-    best = pool_[buckets_[b].head].t;
+    best = hot_[buckets_[b].head].t;
   } else if (block_count_ != 0) {
     best = block_min_time();
   }

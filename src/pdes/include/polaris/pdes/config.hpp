@@ -96,7 +96,7 @@ struct Result {
   double max_shard_busy_s = 0.0;  ///< busiest shard's window work (critical
                                   ///< path of a perfectly parallel run)
   double sum_busy_s = 0.0;        ///< total window work across shards
-  std::uint64_t parks = 0;        ///< barrier sleeps (idle-time proxy)
+  std::uint64_t parks = 0;        ///< blocking barrier waits (idle proxy)
 
   // -- memory ---------------------------------------------------------------
   std::uint64_t peak_event_nodes = 0;  ///< max engine pool occupancy (sum)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "polaris/support/check.hpp"
@@ -64,17 +65,21 @@ TEST(Engine, RejectsSchedulingInThePast) {
 
 TEST(Engine, CancelPreventsExecution) {
   // One cancelled event per tier: tick wheel, block wheel, heap.  None
-  // runs, and none moves the clock past the last event that did.
+  // runs, none moves the clock past the last event that did, and reaping
+  // each drops its captured state before its slot is reused.
   Engine e;
   bool ran = false;
+  const auto token = std::make_shared<int>(0);
   e.schedule_at(5, [] {});
   for (const SimTime t : {10, 50'000, 5'000'000}) {
-    e.cancel(e.schedule_at(t, [&] { ran = true; }));
+    e.cancel(e.schedule_at(t, [&ran, token] { ran = true; }));
   }
+  EXPECT_EQ(token.use_count(), 4);
   e.run();
   EXPECT_FALSE(ran);
   EXPECT_EQ(e.now(), 5);
   EXPECT_EQ(e.stats().cancelled_skipped, 3u);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Engine, CancelOfFiredEventIsNoop) {

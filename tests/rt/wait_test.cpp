@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -79,6 +80,66 @@ TEST(SpinBarrier, SingleParticipantRunsSerialInline) {
   for (int i = 0; i < 5; ++i) barrier.arrive_and_wait([&] { ++runs; });
   EXPECT_EQ(runs, 5);
   EXPECT_EQ(barrier.parks(), 0u);
+}
+
+TEST(SpinBarrier, LateArriverWakesBlockedWaiters) {
+  constexpr std::size_t kThreads = 4;
+  SpinBarrier barrier(kThreads);
+  int window = 0;  // written in the serial section only
+  std::atomic<std::size_t> arriving{0};
+  std::atomic<std::size_t> saw_window{0};
+
+  auto body = [&] {
+    arriving.fetch_add(1);
+    barrier.arrive_and_wait([&] { window = 42; });
+    if (window == 42) saw_window.fetch_add(1);
+  };
+  std::vector<std::thread> pool;
+  for (std::size_t i = 0; i + 1 < kThreads; ++i) pool.emplace_back(body);
+  // The fourth participant arrives ~20 ms after the others, long after
+  // they have left the spin and yield tiers for the blocking wait.
+  while (arriving.load() + 1 < kThreads) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  body();
+  for (auto& t : pool) t.join();
+  EXPECT_EQ(saw_window.load(), kThreads);
+  EXPECT_GE(barrier.parks(), kThreads - 1);
+}
+
+TEST(SpinBarrier, StressSerialRunsOncePerGenerationWithLateArrivers) {
+  constexpr std::size_t kThreads = 4;
+  constexpr int kGens = 10'000;
+  SpinBarrier barrier(kThreads);
+  int serial_runs = 0;            // written in the serial section only
+  int arrived_at[kThreads] = {};  // each participant's current generation
+  std::atomic<int> failures{0};
+
+  auto body = [&](std::size_t me) {
+    for (int g = 1; g <= kGens; ++g) {
+      // Once per 1,000 generations each participant in turn arrives ~1 ms
+      // late, so the others reach the blocking wait.
+      if (g % 1000 == static_cast<int>(me) * 250) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      arrived_at[me] = g;
+      barrier.arrive_and_wait([&] {
+        ++serial_runs;
+        // Exactly once per generation: every participant has arrived at
+        // this generation and none has left it.
+        for (const int a : arrived_at) {
+          if (a != serial_runs) failures.fetch_add(1);
+        }
+      });
+      if (serial_runs != g) failures.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> pool;
+  for (std::size_t i = 0; i + 1 < kThreads; ++i) pool.emplace_back(body, i);
+  body(kThreads - 1);
+  for (auto& t : pool) t.join();
+  EXPECT_EQ(serial_runs, kGens);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(barrier.parks(), 0u);
 }
 
 TEST(SpscRing, DrainEmptiesInFifoOrder) {

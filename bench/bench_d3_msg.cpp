@@ -13,12 +13,17 @@
 //     the unexpected queue per post; the bucketed one reads a
 //     category-list head.
 //  3. Eager steady state: 2-rank simrt ping-pong of eager messages,
-//     absolute messages/s through the full protocol + fabric stack, with
-//     the allocation-free claim checked by pool-capacity deltas between a
-//     warmup run and the measured run.
+//     absolute messages/s through the full protocol + fabric stack.
 //  4. CG-pattern churn: 16 ranks on a 4x4 torus, each round posting 4
-//     irecvs + 4 isends and wait_all-ing them (the SpMV halo inner loop),
-//     same steady-state-allocation check.
+//     irecvs + 4 isends and wait_all-ing them (the SpMV halo inner loop).
+//
+// Sections 3 and 4 also check that the steady state allocates nothing.
+// The binary links heap_count.cpp's counting global operator new, so the
+// count covers every heap allocation: coroutine frames, slab growth and
+// callback storage alike.  After a warm-up, each phase runs at N rounds
+// and then at 2N rounds; a launch allocates a fixed number of blocks
+// however many rounds it runs, so the difference between the two counts
+// is what N more rounds allocate.
 //
 // Emits BENCH_MSG.json.  POLARIS_BENCH_BUDGET_MS shrinks workloads for CI
 // smoke runs (default ~2000 ms per section).  Exits non-zero if the
@@ -36,6 +41,7 @@
 #include "polaris/msg/tag_matcher.hpp"
 #include "polaris/simrt/sim_world.hpp"
 #include "polaris/support/table.hpp"
+#include "heap_count.hpp"
 #include "report.hpp"
 
 namespace {
@@ -117,19 +123,26 @@ double run_wildcard(Matcher& m, const std::vector<std::uint16_t>& order) {
   return seconds_since(t0);
 }
 
-// --------------------------------------------------- steady-state counters
+// ------------------------------------------------------------ steady state
 
-/// Sum of every slab/pool capacity and SBO-miss counter on the simrt hot
-/// path: a zero delta across a phase means the phase allocated nothing.
-std::uint64_t allocation_odometer(simrt::SimWorld& world) {
-  std::uint64_t total = world.inflight_pool_capacity();
-  const des::EngineStats es = world.engine().stats();
-  total += es.pool_capacity + es.sbo_misses;
-  for (std::size_t r = 0; r < world.ranks(); ++r) {
-    total += world.comm(r).matcher_pool_capacity();
-    total += world.comm(r).request_pool_capacity();
-  }
-  return total;
+struct SteadyState {
+  double seconds;       ///< host time of the N-round run
+  std::int64_t allocs;  ///< heap allocations at 2N rounds minus at N rounds
+};
+
+/// Runs `phase(rounds)`, timed, then `phase(2 * rounds)`, counting the heap
+/// allocations of each.  Call after a warm-up run has filled every pool.
+template <class Phase>
+SteadyState measure_steady_state(Phase&& phase, std::uint64_t rounds) {
+  const std::uint64_t a0 = bench::heap_allocations();
+  const auto t0 = std::chrono::steady_clock::now();
+  phase(rounds);
+  const double s = seconds_since(t0);
+  const std::uint64_t a1 = bench::heap_allocations();
+  phase(2 * rounds);
+  const std::uint64_t a2 = bench::heap_allocations();
+  return {s, static_cast<std::int64_t>(a2 - a1) -
+                 static_cast<std::int64_t>(a1 - a0)};
 }
 
 }  // namespace
@@ -146,6 +159,9 @@ int main() {
       "Messaging core: bucketed tag matching vs the linear reference, and "
       "the pooled allocation-free simrt in-flight path");
   report.note("budget_ms", std::to_string(budget_ms));
+  report.note("steady_state_allocs",
+              "global operator new calls at 2N rounds minus at N rounds");
+  report.note_provenance();
 
   // The linear matcher clears roughly 1M ops/s at depth 512, so budget*500
   // ops keeps its (slower) side inside the per-section budget.
@@ -202,8 +218,6 @@ int main() {
   report.add("wildcard.speedup", wc_speedup, "x");
 
   // -- 3. eager steady state ------------------------------------------------
-  // Warm one run to fill every pool, snapshot the allocation odometer,
-  // then measure: the measured run must not grow any slab.
   const auto eager_rounds = std::max<std::uint64_t>(
       20'000, static_cast<std::uint64_t>(budget_ms) * 100);
   simrt::SimWorld eg_world(2, fabric::fabrics::infiniband_4x());
@@ -220,23 +234,19 @@ int main() {
     eg_world.run();
   };
   eager_phase(eager_rounds / 10 + 64);  // warmup
-  const std::uint64_t eg_before = allocation_odometer(eg_world);
-  const auto eg_t0 = std::chrono::steady_clock::now();
-  eager_phase(eager_rounds);
-  const double eg_s = seconds_since(eg_t0);
-  const std::uint64_t eg_allocs = allocation_odometer(eg_world) - eg_before;
-  const double eg_rate = static_cast<double>(eager_rounds) / eg_s;
+  const SteadyState eg = measure_steady_state(eager_phase, eager_rounds);
+  const double eg_rate = static_cast<double>(eager_rounds) / eg.seconds;
 
   std::cout << "\n";
   support::Table t3("D3c: eager steady state, 2 ranks, 256 B, infiniband");
   t3.header({"metric", "value"});
   t3.add("messages/s", support::Table::to_cell(eg_rate));
   t3.add("steady-state allocs", support::Table::to_cell(
-                                    static_cast<double>(eg_allocs)));
+                                    static_cast<double>(eg.allocs)));
   t3.print(std::cout);
   report.note("eager.rounds", std::to_string(eager_rounds));
   report.add("eager.msgs_per_sec", eg_rate, "msgs/s");
-  report.add("eager.steady_state_allocs", static_cast<double>(eg_allocs),
+  report.add("eager.steady_state_allocs", static_cast<double>(eg.allocs),
              "count");
 
   // -- 4. CG-pattern irecv/wait_all churn ------------------------------------
@@ -263,12 +273,8 @@ int main() {
     cg_world.run();
   };
   cg_phase(cg_rounds / 10 + 16);  // warmup
-  const std::uint64_t cg_before = allocation_odometer(cg_world);
-  const auto cg_t0 = std::chrono::steady_clock::now();
-  cg_phase(cg_rounds);
-  const double cg_s = seconds_since(cg_t0);
-  const std::uint64_t cg_allocs = allocation_odometer(cg_world) - cg_before;
-  const double cg_rate = static_cast<double>(cg_rounds) / cg_s;
+  const SteadyState cg = measure_steady_state(cg_phase, cg_rounds);
+  const double cg_rate = static_cast<double>(cg_rounds) / cg.seconds;
   const double cg_msg_rate = cg_rate * kGrid * kGrid * 4;
 
   std::cout << "\n";
@@ -277,12 +283,12 @@ int main() {
   t4.add("rounds/s", support::Table::to_cell(cg_rate));
   t4.add("messages/s", support::Table::to_cell(cg_msg_rate));
   t4.add("steady-state allocs", support::Table::to_cell(
-                                    static_cast<double>(cg_allocs)));
+                                    static_cast<double>(cg.allocs)));
   t4.print(std::cout);
   report.note("cg.rounds", std::to_string(cg_rounds));
   report.add("cg.rounds_per_sec", cg_rate, "rounds/s");
   report.add("cg.msgs_per_sec", cg_msg_rate, "msgs/s");
-  report.add("cg.steady_state_allocs", static_cast<double>(cg_allocs),
+  report.add("cg.steady_state_allocs", static_cast<double>(cg.allocs),
              "count");
 
   if (!report.write_file("BENCH_MSG.json")) {
@@ -299,13 +305,13 @@ int main() {
     std::cerr << "ERROR: wildcard speedup " << wc_speedup << " < 2x\n";
     ok = false;
   }
-  if (eg_allocs != 0) {
-    std::cerr << "ERROR: eager steady state allocated (" << eg_allocs
+  if (eg.allocs != 0) {
+    std::cerr << "ERROR: eager steady state allocated (" << eg.allocs
               << ")\n";
     ok = false;
   }
-  if (cg_allocs != 0) {
-    std::cerr << "ERROR: CG steady state allocated (" << cg_allocs << ")\n";
+  if (cg.allocs != 0) {
+    std::cerr << "ERROR: CG steady state allocated (" << cg.allocs << ")\n";
     ok = false;
   }
   return ok ? 0 : 1;

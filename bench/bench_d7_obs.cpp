@@ -30,22 +30,20 @@
 // interference on a shared host.
 //
 // A fourth section measures the raw record path and proves it allocates
-// nothing in steady state: this TU overrides global operator new with a
-// counter, and after warmup a mixed record window (push, drop-on-full,
-// begin/end slot pool) must leave the counter — and the tracer's
-// intern/ring/track capacities — exactly where they were.
+// nothing in steady state: the binary links heap_count.cpp's counting
+// global operator new, and after warmup a mixed record window (push,
+// drop-on-full, begin/end slot pool) must leave the counter — and the
+// tracer's intern/ring/track capacities — exactly where they were.
 //
 // Emits BENCH_OBS.json.  CI asserts armed <= 5%, idle <= 1% overhead and
 // steady_state_allocs == 0; the binary itself only enforces loose sanity
 // ceilings so a noisy laptop run still produces a report.
 // POLARIS_BENCH_BUDGET_MS scales the workloads (default ~2000 ms).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <new>
 #include <random>
 #include <streambuf>
 #include <string>
@@ -58,31 +56,8 @@
 #include "polaris/obs/trace.hpp"
 #include "polaris/simrt/sim_world.hpp"
 #include "polaris/support/table.hpp"
+#include "heap_count.hpp"
 #include "report.hpp"
-
-// ------------------------------------------------------ allocation odometer
-//
-// Counts every global operator new in the process.  The steady-state section
-// brackets a record-only window with reads of this counter; the delta must
-// be zero.  Frees go straight to std::free so the override stays symmetric.
-// (GCC pairs the std allocator's operator-new calls with this TU's
-// free-based operator delete and warns; the pair is in fact malloc/free.)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -520,8 +495,7 @@ int main() {
 
     // Allocation window: record only, mixed kinds, rings allowed to fill.
     const obs::Tracer::Stats before = tracer.stats();
-    const std::uint64_t allocs_before =
-        g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t allocs_before = bench::heap_allocations();
     const std::uint64_t alloc_n = scaled(1'000'000);
     for (std::uint64_t i = 0; i < alloc_n; ++i) {
       const std::size_t t = i & 3;
@@ -542,8 +516,7 @@ int main() {
                                static_cast<std::int64_t>(i), 1);
       }
     }
-    const std::uint64_t allocs_after =
-        g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t allocs_after = bench::heap_allocations();
     const obs::Tracer::Stats after = tracer.stats();
     alloc_delta = allocs_after - allocs_before;
     intern_delta = after.interned_names - before.interned_names;

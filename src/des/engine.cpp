@@ -407,7 +407,7 @@ namespace {
 /// the engine.  The frame self-destroys on completion (final_suspend never
 /// suspends), which is safe because nothing awaits a DetachedProcess.
 struct DetachedProcess {
-  struct promise_type {
+  struct promise_type : detail::RecycledFrame {
     DetachedProcess get_return_object() { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

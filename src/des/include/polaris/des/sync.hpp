@@ -12,6 +12,7 @@
 #include <deque>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "polaris/des/engine.hpp"
 #include "polaris/support/check.hpp"
@@ -19,7 +20,8 @@
 namespace polaris::des {
 
 /// One-shot event: coroutines await it; fire() releases all current and
-/// future waiters.  Await-after-fire completes immediately.
+/// future waiters, in the order they began waiting.  Await-after-fire
+/// completes immediately.  Allocates nothing until a coroutine waits.
 class Trigger {
  public:
   explicit Trigger(Engine& engine) : engine_(&engine) {}
@@ -52,7 +54,7 @@ class Trigger {
  private:
   Engine* engine_;
   bool fired_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 /// Intrusive single-waiter one-shot: the pooled counterpart of Trigger for

@@ -8,9 +8,15 @@
 //
 // Tasks themselves carry no engine reference: anything that needs simulated
 // time (delays, triggers, mailboxes) takes the Engine explicitly.
+//
+// Frames are recycled: each thread keeps free lists of frame-sized blocks
+// (64-byte size classes up to 1 KiB; larger frames use the global heap),
+// so the steady state of a simulation, which creates and destroys a frame
+// per awaited call, does not touch the allocator.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
@@ -21,7 +27,23 @@ namespace polaris::des {
 
 namespace detail {
 
-struct PromiseBase {
+/// The thread-local frame recycler (frames.cpp).  `frame_free` must get the
+/// size `frame_alloc` was given; a block may be freed on any thread.
+void* frame_alloc(std::size_t n);
+void frame_free(void* p, std::size_t n) noexcept;
+/// Blocks the calling thread's recycler holds for reuse.
+std::size_t cached_frames();
+
+/// Routes a coroutine's frame through the recycler; the compiler finds
+/// these in the promise type and passes the frame size to both.
+struct RecycledFrame {
+  static void* operator new(std::size_t n) { return frame_alloc(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    frame_free(p, n);
+  }
+};
+
+struct PromiseBase : RecycledFrame {
   std::coroutine_handle<> continuation;
   std::exception_ptr error;
 

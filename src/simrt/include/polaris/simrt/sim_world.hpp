@@ -19,13 +19,17 @@
 // long does it take on fabric X at scale N".
 //
 // Host-side hot path (simulated timing is bit-identical either way): every
-// message is a slab-pooled InFlight record addressed by slot+generation —
-// no shared_ptr, no per-message Trigger allocations (completion flags are
-// intrusive des::OneShotEvents), eager wire delivery runs as a raw-callback
-// chain through fabric::SimNetwork::transfer_raw (no spawned coroutine
-// frame), out-of-order network completions park in per-source ring buffers
-// indexed by sequence number, and nonblocking requests are pooled
-// slot+generation handles.
+// message is a slab-pooled InFlight record addressed by slot+generation,
+// with no shared_ptr.  Its completion flags, and the join of a collective's
+// concurrent send+recv step, are intrusive des::OneShotEvents.  Eager wire
+// delivery runs as a raw-callback chain through
+// fabric::SimNetwork::transfer_raw (no spawned coroutine frame),
+// out-of-order network completions park in per-source ring buffers indexed
+// by sequence number, and nonblocking requests are pooled slot+generation
+// handles.  The coroutine frames a message still creates (send, recv and
+// the calls they await) come from des's thread-local frame recycler, so
+// once the pools and the recycler are warm the path makes no heap
+// allocation; bench_d3_msg checks that by counting global operator new.
 #pragma once
 
 #include <cstdint>

@@ -750,23 +750,25 @@ des::Task<SimStatus> SimComm::run_schedule(const coll::Schedule& schedule,
   SimStatus status = SimStatus::kOk;
   for (const coll::CommStep& step : schedule.per_rank[rank_]) {
     if (step.has_send() && step.has_recv()) {
-      // Post both concurrently (MPI_Sendrecv) and join.
+      // Post both concurrently (MPI_Sendrecv) and join.  This coroutine is
+      // the join's only waiter, so a OneShotEvent does what a Trigger
+      // would, through the same single zero-delay wakeup event.
       std::uint32_t remaining = 2;
-      des::Trigger done(eng);
+      des::OneShotEvent done;
       SimStatus send_st = SimStatus::kOk;
       SimRecvStatus recv_st;
       eng.spawn([](SimComm& c, const coll::CommStep& s,
                    std::size_t eb, std::uint32_t& rem,
-                   des::Trigger& trig, SimStatus& out) -> des::Task<void> {
+                   des::OneShotEvent& join, SimStatus& out) -> des::Task<void> {
         out = co_await c.send(s.send_peer, kCollTag,
                               static_cast<std::uint64_t>(s.send_count) * eb);
-        if (--rem == 0) trig.fire();
+        if (--rem == 0) join.fire(c.world_->engine());
       }(*this, step, elem_bytes, remaining, done, send_st));
       eng.spawn([](SimComm& c, const coll::CommStep& s, std::uint32_t& rem,
-                   des::Trigger& trig,
+                   des::OneShotEvent& join,
                    SimRecvStatus& out) -> des::Task<void> {
         out = co_await c.recv(s.recv_peer, kCollTag);
-        if (--rem == 0) trig.fire();
+        if (--rem == 0) join.fire(c.world_->engine());
       }(*this, step, remaining, done, recv_st));
       co_await done.wait();
       if (send_st != SimStatus::kOk) {

@@ -34,6 +34,26 @@ TEST(Trigger, ReleasesAllWaitersAtFireTime) {
   EXPECT_TRUE(t.fired());
 }
 
+Task<void> wait_after(Trigger& t, Engine& e, SimTime at, int id,
+                      std::vector<int>& order) {
+  co_await delay(e, at);
+  co_await t.wait();
+  order.push_back(id);
+}
+
+TEST(Trigger, WakesWaitersInTheOrderTheyWaited) {
+  // Spawned 1, 2, 3 but waiting from t = 3, 2, 1.
+  Engine e;
+  Trigger t(e);
+  std::vector<int> order;
+  e.spawn(wait_after(t, e, 3, 1, order));
+  e.spawn(wait_after(t, e, 2, 2, order));
+  e.spawn(wait_after(t, e, 1, 3, order));
+  e.spawn(fire_later(t, e, 10));
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
+}
+
 TEST(Trigger, AwaitAfterFireCompletesImmediately) {
   Engine e;
   Trigger t(e);

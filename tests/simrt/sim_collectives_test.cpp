@@ -134,6 +134,37 @@ TEST(SimCollectives, DeterministicReplay) {
   EXPECT_DOUBLE_EQ(t1, t2);
 }
 
+TEST(SimCollectives, SendRecvStepWaitsForItsSlowerHalf) {
+  // Rank 0's one step sends 1 MiB (rendezvous) to rank 1, which posts its
+  // receive only after 1 ms, and receives 8 B from rank 2 at once.  The
+  // step must not finish with its receive: it joins both halves.
+  coll::Schedule schedule;
+  schedule.ranks = 3;
+  schedule.per_rank.resize(3);
+  coll::CommStep both = coll::CommStep::send(1, 0, 1 << 20);
+  both.recv_peer = 2;
+  both.recv_count = 8;
+  schedule.per_rank[0] = {both};
+  coll::CommStep recv_only;
+  recv_only.recv_peer = 0;
+  recv_only.recv_count = 1 << 20;
+  schedule.per_rank[1] = {recv_only};
+  schedule.per_rank[2] = {coll::CommStep::send(0, 0, 8)};
+
+  SimWorld world(3, infiniband_4x());
+  std::vector<double> done(3, 0.0);
+  world.launch([&](SimComm& c) -> des::Task<void> {
+    if (c.rank() == 1) co_await c.sleep(1e-3);
+    const SimStatus st = co_await c.run_schedule(schedule, 1);
+    EXPECT_EQ(st, SimStatus::kOk);
+    done[static_cast<std::size_t>(c.rank())] = c.now();
+  });
+  world.run();
+  EXPECT_LT(done[2], 1e-4);
+  EXPECT_GT(done[0], 1e-3);
+  EXPECT_GE(done[0], done[1] - 1e-4);
+}
+
 TEST(SimCollectives, TorusVsFatTreeForNeighborExchange) {
   // A ring allgather maps perfectly onto a torus; both should complete,
   // and the torus should not be catastrophically worse.

@@ -2,9 +2,9 @@
 //
 // A collective algorithm in Polaris compiles to a *schedule*: for every
 // rank, an ordered list of communication steps over element ranges of the
-// collective buffer.  The same schedule is executed by three engines —
-// the in-memory correctness executor (local_exec.hpp), the LogGP timing
-// executor (cost.hpp), and both the simulated and real runtimes — so each
+// collective buffer.  The same schedule is executed by the LogGP timing
+// executor (cost.hpp), the simulated and the real runtimes, and the
+// in-memory correctness oracle the tests run (tests/oracles), so each
 // algorithm is written once and exercised everywhere.
 //
 // Step semantics: a step may carry a send part, a receive part, or both
@@ -21,6 +21,11 @@
 #include <vector>
 
 namespace polaris::coll {
+
+/// Reduction operator a receive step with recv_reduce applies.
+enum class ReduceOp { kSum, kMax, kMin, kProd };
+
+double combine(ReduceOp op, double a, double b);
 
 /// One communication step of one rank.  peer == kNoPeer disables a part.
 struct CommStep {

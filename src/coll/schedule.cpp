@@ -7,6 +7,20 @@
 
 namespace polaris::coll {
 
+double combine(ReduceOp op, double a, double b) {
+  switch (op) {
+    case ReduceOp::kSum:
+      return a + b;
+    case ReduceOp::kMax:
+      return std::max(a, b);
+    case ReduceOp::kMin:
+      return std::min(a, b);
+    case ReduceOp::kProd:
+      return a * b;
+  }
+  return a;
+}
+
 std::size_t Schedule::max_steps() const {
   std::size_t m = 0;
   for (const auto& steps : per_rank) m = std::max(m, steps.size());

@@ -7,7 +7,9 @@
 // to Engine::spawn(), which drives them as detached processes.
 //
 // Tasks themselves carry no engine reference: anything that needs simulated
-// time (delays, triggers, mailboxes) takes the Engine explicitly.
+// time (delays, triggers) takes the Engine explicitly.  GCC 12.2
+// miscompiles `co_await` inside an `if` or `while` condition, so bind the
+// awaited value to a local first.
 //
 // Frames are recycled: each thread keeps free lists of frame-sized blocks
 // (64-byte size classes up to 1 KiB; larger frames use the global heap),

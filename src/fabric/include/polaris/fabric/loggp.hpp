@@ -1,4 +1,4 @@
-// LogGP parameter extraction and prediction.
+// LogGP parameter extraction.
 //
 // LogGP (Alexandrov et al.) characterizes a messaging system by
 //   L  — wire latency,
@@ -10,8 +10,6 @@
 // fabrics are overhead-dominated regardless of wire speed.
 #pragma once
 
-#include <cstdint>
-
 #include "polaris/fabric/params.hpp"
 
 namespace polaris::fabric {
@@ -22,14 +20,6 @@ struct LogGPParams {
   double o_r = 0.0;  ///< receive overhead
   double g = 0.0;    ///< inter-message gap
   double G = 0.0;    ///< per-byte gap (seconds/byte)
-
-  /// Predicted one-way time for a k-byte message:
-  /// o_s + L + (k-1)G + o_r.
-  double one_way(std::uint64_t bytes) const;
-
-  /// Half of predicted ping-pong round trip (equals one_way here; kept for
-  /// symmetry with measured-latency reporting).
-  double half_round_trip(std::uint64_t bytes) const { return one_way(bytes); }
 
   /// Peak small-message rate: 1/max(g, o_s).
   double message_rate() const;

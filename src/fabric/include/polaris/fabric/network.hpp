@@ -10,7 +10,8 @@
 //
 // The data path has two tiers, both exactly equivalent (to the simulated
 // nanosecond) to the original per-packet-coroutine + per-link-semaphore
-// model, which survives as fabric::ReferenceNetwork for proof.  The one
+// model, which survives as the test oracle fabric::ReferenceNetwork
+// (tests/oracles, linked by the tests and bench_d2_fabric).  The one
 // caveat: when two packets with different upstream histories arrive at a
 // shared link on the exact same tick, the models may break the tie in a
 // different (equally valid) FIFO order — the semaphore model orders by its
@@ -75,8 +76,6 @@ enum class XferStatus : std::uint8_t {
   kLinkDown,  ///< a routed link went down (at inject or mid-flight)
 };
 
-const char* to_string(XferStatus status);
-
 /// Per-message path selection policy.
 ///
 ///  - kOblivious (default): every message between a pair takes the
@@ -95,8 +94,6 @@ enum class RoutingMode : std::uint8_t {
   kOblivious = 0,
   kAdaptive = 1,
 };
-
-const char* to_string(RoutingMode mode);
 
 /// Aggregate traffic statistics for a SimNetwork.
 struct NetworkStats {

@@ -29,7 +29,7 @@ struct FabricParams {
   double o_recv = 10e-6;   ///< CPU time consumed to land a receive
   double gap = 12e-6;      ///< minimum inter-message gap (1/message-rate)
   bool os_bypass = false;  ///< user-level NIC access (no kernel crossing)
-  bool rdma = false;       ///< remote DMA: true zero-copy one-sided put/get
+  bool rdma = false;       ///< remote DMA: zero-copy rendezvous payloads
   double copy_bw = 1.0e9;  ///< host memcpy bandwidth for staging copies
 
   /// Memory registration (pin-down) cost: base + per-4KiB-page component.

@@ -86,18 +86,14 @@ struct Partition {
   }
 };
 
-/// Splits `topo`'s hosts into `shards` contiguous near-equal blocks and
+/// Splits `nodes` hosts into `shards` contiguous near-equal blocks and
 /// derives the conservative lookahead from `params`.  Contiguous NodeId
 /// blocks follow each topology's locality order (rows of a torus, pods of
 /// a fat tree), so boundary cuts are a small fraction of traffic for
-/// neighbor-dominated workloads.
-Partition make_block_partition(const Topology& topo,
-                               const FabricParams& params,
-                               std::size_t shards);
-
-/// Topology-free flavour for machines described only by host count and
-/// grid extents (empty dims = single-switch/tree-style fabric).  The
-/// million-node pdes configurations use this: instantiating a real
+/// neighbor-dominated workloads.  `dims` are the grid extents
+/// (Topology::dims(); empty = single-switch/tree-style fabric).  The
+/// machine is described by host count and extents, not a Topology: the
+/// million-node pdes configurations use this, and instantiating a real
 /// Topology eagerly builds every link's hash-map entry, which at 10^6
 /// hosts costs gigabytes for routes the closed-form model never walks.
 Partition make_block_partition(std::size_t nodes,

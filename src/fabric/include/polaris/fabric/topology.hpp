@@ -6,7 +6,7 @@
 // model serializes independently (full-duplex links are two LinkIds).
 //
 // Provided topologies: single-switch crossbar, three-level k-ary fat tree
-// (the Clos build of Myrinet/InfiniBand clusters), and 2-D/3-D tori (the
+// (the Clos build of Myrinet/InfiniBand clusters), and the 2-D torus (the
 // "mesh of commodity nodes" alternative).  Routing is deterministic —
 // destination-mod uplink selection in the fat tree, dimension-order with
 // shortest wrap in the torus — so simulations replay identically.
@@ -74,20 +74,14 @@ class Topology {
   }
 
   /// Diameter in links, exact at any scale: each topology supplies a
-  /// closed form (the earlier sampled scan silently under-reported for
-  /// >128-host topologies).
+  /// closed form (the tests cross-check it against a brute-force scan at
+  /// small n).
   virtual std::size_t diameter() const = 0;
-
-  /// Brute-force diameter over the first `max_nodes` hosts.  Exact only
-  /// when node_count() <= max_nodes; kept as a small-n cross-check of the
-  /// closed forms.
-  std::size_t scan_diameter(std::size_t max_nodes = 128) const;
 
   /// Grid extents for topologies whose hosts form a coordinate grid,
   /// innermost (fastest-varying in NodeId) dimension first: {w, h} for a
-  /// 2-D torus, {x, y, z} for a 3-D torus.  Empty for non-grid topologies
-  /// (crossbar, fat tree — whose natural NodeId order is already the
-  /// locality hierarchy).  Consumers: the resource manager's
+  /// 2-D torus.  Empty for non-grid topologies (crossbar, fat tree — whose
+  /// natural NodeId order is already the locality hierarchy).  Consumers: the resource manager's
   /// locality-preserving linearization (polaris::rm).
   virtual std::vector<std::size_t> dims() const { return {}; }
 
@@ -192,31 +186,6 @@ class Torus2D final : public Topology {
   DeviceId router(std::size_t x, std::size_t y) const;
 
   std::size_t w_, h_;
-};
-
-/// 3-D torus with dimension-order routing.
-class Torus3D final : public Topology {
- public:
-  Torus3D(std::size_t x, std::size_t y, std::size_t z);
-  std::string name() const override;
-
-  std::size_t diameter() const override {
-    return 2 + nx_ / 2 + ny_ / 2 + nz_ / 2;
-  }
-
-  std::vector<std::size_t> dims() const override { return {nx_, ny_, nz_}; }
-
-  /// Minimal-adaptive width: m! dimension orders for m moving dimensions
-  /// (identity x-y-z first, so choice 0 stays the oblivious path).
-  std::size_t route_choices(NodeId src, NodeId dst) const override;
-
- private:
-  std::vector<LinkId> compute_route(NodeId src, NodeId dst) const override;
-  std::vector<LinkId> compute_route_k(NodeId src, NodeId dst,
-                                      std::size_t k) const override;
-  DeviceId router(std::size_t x, std::size_t y, std::size_t z) const;
-
-  std::size_t nx_, ny_, nz_;
 };
 
 /// Factory: builds the conventional topology for a fabric class and node

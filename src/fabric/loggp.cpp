@@ -6,11 +6,6 @@
 
 namespace polaris::fabric {
 
-double LogGPParams::one_way(std::uint64_t bytes) const {
-  const double k = bytes == 0 ? 0.0 : static_cast<double>(bytes - 1);
-  return o_s + L + k * G + o_r;
-}
-
 double LogGPParams::message_rate() const {
   const double bottleneck = std::max(g, o_s);
   POLARIS_CHECK(bottleneck > 0.0);

@@ -7,28 +7,6 @@
 
 namespace polaris::fabric {
 
-const char* to_string(XferStatus status) {
-  switch (status) {
-    case XferStatus::kOk:
-      return "ok";
-    case XferStatus::kNodeDown:
-      return "node-down";
-    case XferStatus::kLinkDown:
-      return "link-down";
-  }
-  return "unknown";
-}
-
-const char* to_string(RoutingMode mode) {
-  switch (mode) {
-    case RoutingMode::kOblivious:
-      return "oblivious";
-    case RoutingMode::kAdaptive:
-      return "adaptive";
-  }
-  return "unknown";
-}
-
 SimNetwork::SimNetwork(des::Engine& engine, FabricParams params,
                        const Topology& topology)
     : engine_(engine), params_(std::move(params)), topo_(topology) {

@@ -43,10 +43,4 @@ Partition make_block_partition(std::size_t nodes,
   return p;
 }
 
-Partition make_block_partition(const Topology& topo,
-                               const FabricParams& params,
-                               std::size_t shards) {
-  return make_block_partition(topo.node_count(), topo.dims(), params, shards);
-}
-
 }  // namespace polaris::fabric

@@ -51,17 +51,6 @@ std::vector<LinkId> Topology::compute_route_k(NodeId src, NodeId dst,
   return {};
 }
 
-std::size_t Topology::scan_diameter(std::size_t max_nodes) const {
-  const std::size_t n = std::min(node_count_, max_nodes);
-  std::size_t d = 0;
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = 0; b < n; ++b) {
-      if (a != b) d = std::max(d, hop_count(a, b));
-    }
-  }
-  return d;
-}
-
 LinkId Topology::link(DeviceId u, DeviceId v) {
   POLARIS_CHECK_MSG(u != v, "self-links are not allowed");
   const auto key = pair_key(u, v);
@@ -349,119 +338,6 @@ std::vector<LinkId> Torus2D::compute_route_k(NodeId src, NodeId dst,
     x = x2;
   }
   path.push_back(link_between(router(x, y), dst));
-  return path;
-}
-
-// -------------------------------------------------------------------- Torus3D
-
-Torus3D::Torus3D(std::size_t x, std::size_t y, std::size_t z)
-    : Topology(x * y * z, x * y * z), nx_(x), ny_(y), nz_(z) {
-  POLARIS_CHECK(x >= 2 && y >= 2 && z >= 2);
-  for (std::size_t k = 0; k < nz_; ++k) {
-    for (std::size_t j = 0; j < ny_; ++j) {
-      for (std::size_t i = 0; i < nx_; ++i) {
-        const DeviceId r = router(i, j, k);
-        const auto host =
-            static_cast<DeviceId>((k * ny_ + j) * nx_ + i);
-        link(host, r);
-        link(r, host);
-        const DeviceId xp = router((i + 1) % nx_, j, k);
-        const DeviceId yp = router(i, (j + 1) % ny_, k);
-        const DeviceId zp = router(i, j, (k + 1) % nz_);
-        link(r, xp);
-        link(xp, r);
-        link(r, yp);
-        link(yp, r);
-        link(r, zp);
-        link(zp, r);
-      }
-    }
-  }
-}
-
-std::string Torus3D::name() const {
-  return "torus3d-" + std::to_string(nx_) + "x" + std::to_string(ny_) + "x" +
-         std::to_string(nz_);
-}
-
-DeviceId Torus3D::router(std::size_t x, std::size_t y, std::size_t z) const {
-  return static_cast<DeviceId>(node_count_ + (z * ny_ + y) * nx_ + x);
-}
-
-std::vector<LinkId> Torus3D::compute_route(NodeId src, NodeId dst) const {
-  if (src == dst) return {};
-  std::size_t x = src % nx_;
-  std::size_t y = (src / nx_) % ny_;
-  std::size_t z = src / (nx_ * ny_);
-  const std::size_t dx = dst % nx_;
-  const std::size_t dy = (dst / nx_) % ny_;
-  const std::size_t dz = dst / (nx_ * ny_);
-
-  std::vector<LinkId> path;
-  path.push_back(link_between(src, router(x, y, z)));
-
-  auto walk = [&](std::size_t& cur, std::size_t target, std::size_t n,
-                  auto make_router) {
-    auto [step, count] = ring_steps(cur, target, n);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t nxt =
-          (cur + n + static_cast<std::size_t>(step)) % n;
-      const DeviceId from = make_router(cur);
-      const DeviceId to = make_router(nxt);
-      path.push_back(link_between(from, to));
-      cur = nxt;
-    }
-  };
-  walk(x, dx, nx_, [&](std::size_t v) { return router(v, y, z); });
-  walk(y, dy, ny_, [&](std::size_t v) { return router(x, v, z); });
-  walk(z, dz, nz_, [&](std::size_t v) { return router(x, y, v); });
-
-  path.push_back(link_between(router(x, y, z), dst));
-  return path;
-}
-
-namespace {
-constexpr std::size_t kFactorial[4] = {1, 1, 2, 6};
-}  // namespace
-
-std::size_t Torus3D::route_choices(NodeId src, NodeId dst) const {
-  if (src == dst) return 1;
-  std::size_t moving = 0;
-  if (src % nx_ != dst % nx_) ++moving;
-  if ((src / nx_) % ny_ != (dst / nx_) % ny_) ++moving;
-  if (src / (nx_ * ny_) != dst / (nx_ * ny_)) ++moving;
-  return kFactorial[moving];
-}
-
-std::vector<LinkId> Torus3D::compute_route_k(NodeId src, NodeId dst,
-                                             std::size_t k) const {
-  std::size_t cur[3] = {src % nx_, (src / nx_) % ny_, src / (nx_ * ny_)};
-  const std::size_t tgt[3] = {dst % nx_, (dst / nx_) % ny_,
-                              dst / (nx_ * ny_)};
-  const std::size_t ext[3] = {nx_, ny_, nz_};
-
-  // The k-th lexicographic permutation of the moving dimensions; the
-  // sorted (identity) order is k == 0 == the oblivious x-y-z walk.
-  std::vector<std::size_t> order;
-  for (std::size_t d = 0; d < 3; ++d) {
-    if (cur[d] != tgt[d]) order.push_back(d);
-  }
-  for (std::size_t i = 0; i < k; ++i) {
-    const bool more = std::next_permutation(order.begin(), order.end());
-    POLARIS_CHECK_MSG(more, "route choice exceeds dimension permutations");
-  }
-
-  std::vector<LinkId> path;
-  path.push_back(link_between(src, router(cur[0], cur[1], cur[2])));
-  for (const std::size_t d : order) {
-    auto [step, count] = ring_steps(cur[d], tgt[d], ext[d]);
-    for (std::size_t i = 0; i < count; ++i) {
-      const DeviceId from = router(cur[0], cur[1], cur[2]);
-      cur[d] = (cur[d] + ext[d] + static_cast<std::size_t>(step)) % ext[d];
-      path.push_back(link_between(from, router(cur[0], cur[1], cur[2])));
-    }
-  }
-  path.push_back(link_between(router(cur[0], cur[1], cur[2]), dst));
   return path;
 }
 

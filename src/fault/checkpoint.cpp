@@ -8,11 +8,6 @@
 
 namespace polaris::fault {
 
-double young_interval(const CheckpointConfig& c) {
-  POLARIS_CHECK(c.checkpoint_cost > 0 && c.system_mtbf > 0);
-  return std::sqrt(2.0 * c.checkpoint_cost * c.system_mtbf);
-}
-
 double daly_interval(const CheckpointConfig& c) {
   POLARIS_CHECK(c.checkpoint_cost > 0 && c.system_mtbf > 0);
   const double d = c.checkpoint_cost, m = c.system_mtbf;

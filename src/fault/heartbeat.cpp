@@ -91,18 +91,6 @@ double HeartbeatService::suspected_at(std::uint32_t node) const {
   return peers_[node].suspected_time;
 }
 
-const TimeoutDetector& HeartbeatService::timeout_detector(
-    std::uint32_t node) const {
-  POLARIS_CHECK(node < peers_.size());
-  return peers_[node].timeout;
-}
-
-const PhiAccrualDetector& HeartbeatService::phi_detector(
-    std::uint32_t node) const {
-  POLARIS_CHECK(node < peers_.size());
-  return peers_[node].phi;
-}
-
 void HeartbeatService::attach_tracer(obs::Tracer& tracer) {
   tracer_ = &tracer;
   track_ = tracer.add_track("faults", "detector");

@@ -3,7 +3,8 @@
 // The standard coordinated-checkpointing analysis: a job checkpoints every
 // tau seconds at cost delta; on failure it loses on average half a segment,
 // pays restart cost R, and resumes from the last checkpoint.  Provides
-// Young's and Daly's optimal-interval formulas, the first-order analytic
+// Daly's optimal-interval formula (Young's first-order one is the tests'
+// cross-check of it, in tests/oracles), the first-order analytic
 // efficiency, and a Monte-Carlo simulator that plays a long job against a
 // sampled failure timeline to validate the analytic curves (and to explore
 // regimes where the first-order model breaks down, i.e. MTBF ~ tau).
@@ -20,9 +21,6 @@ struct CheckpointConfig {
   double restart_cost = 120.0;     ///< R: reboot + reload time
   double system_mtbf = 3600.0;     ///< M: mean time between system failures
 };
-
-/// Young's first-order optimum: tau = sqrt(2 delta M).
-double young_interval(const CheckpointConfig& c);
 
 /// Daly's higher-order optimum (valid for delta < 2M; falls back to M
 /// otherwise, per the paper).

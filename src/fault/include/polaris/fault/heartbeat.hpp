@@ -52,9 +52,6 @@ class HeartbeatService {
   /// heartbeat and re-suspected counts twice).
   std::size_t suspicions() const { return suspected_count_; }
 
-  const TimeoutDetector& timeout_detector(std::uint32_t node) const;
-  const PhiAccrualDetector& phi_detector(std::uint32_t node) const;
-
   std::uint64_t heartbeats_sent() const { return sent_; }
   std::uint64_t heartbeats_delivered() const { return delivered_; }
   std::uint64_t heartbeats_lost() const { return lost_; }

@@ -43,13 +43,6 @@ double ClusterModel::flops_per_dollar() const {
   return peak_flops() / cost_usd();
 }
 
-double ClusterModel::tco_usd(double years, double usd_per_kwh,
-                             double pue) const {
-  POLARIS_CHECK(years >= 0 && usd_per_kwh >= 0 && pue >= 1.0);
-  const double kwh = power_w() / 1000.0 * 24.0 * 365.25 * years * pue;
-  return cost_usd() + kwh * usd_per_kwh;
-}
-
 ClusterModel ClusterDesigner::fixed_size(NodeArch arch, double year,
                                          std::size_t node_count) const {
   POLARIS_CHECK(node_count > 0);

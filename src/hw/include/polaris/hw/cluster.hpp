@@ -31,12 +31,6 @@ struct ClusterModel {
   double gflops_per_rack() const;
   double mflops_per_watt() const;
   double flops_per_dollar() const;
-
-  /// Total cost of ownership over `years`: purchase price plus energy at
-  /// `usd_per_kwh` (cooling folded in via `pue`, the power usage
-  /// effectiveness of the machine room).
-  double tco_usd(double years, double usd_per_kwh = 0.08,
-                 double pue = 1.8) const;
 };
 
 /// Composes cluster designs from node models, by node count or by budget.

@@ -27,8 +27,6 @@ enum class Protocol {
   kRdma,
 };
 
-const char* to_string(Protocol p);
-
 /// Picks the protocol for a message of `bytes` on fabric `p`, with an
 /// optional threshold override (0 = use the fabric default).
 Protocol choose_protocol(const fabric::FabricParams& p, std::uint64_t bytes,

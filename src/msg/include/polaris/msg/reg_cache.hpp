@@ -21,7 +21,6 @@ struct RegCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t invalidations = 0;
   std::uint64_t bytes_registered = 0;  ///< currently pinned
 };
 
@@ -39,10 +38,6 @@ class RegistrationCache {
   /// otherwise (partial overlaps re-register the whole range: conservative,
   /// matching pin-down-cache practice).
   double acquire(std::uintptr_t addr, std::size_t len);
-
-  /// Drops any registration overlapping [addr, addr+len) — models
-  /// free()/munmap() hooks that keep the cache coherent.
-  void invalidate(std::uintptr_t addr, std::size_t len);
 
   bool contains(std::uintptr_t addr, std::size_t len) const;
   std::size_t pinned_bytes() const { return pinned_bytes_; }

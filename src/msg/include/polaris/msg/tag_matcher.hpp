@@ -26,9 +26,10 @@
 // live entries and steady-state traffic never allocates.  cancel_recv is
 // O(1) via a RecvId -> slot index.
 //
-// The original linear-scan implementation survives verbatim as
-// msg::ReferenceTagMatcher (reference_matcher.hpp); a randomized
-// equivalence suite proves decision-identical behaviour.
+// The original linear-scan implementation survives verbatim as the test
+// oracle msg::ReferenceTagMatcher (tests/oracles, linked by the tests and
+// bench_d3_msg); a randomized equivalence suite proves decision-identical
+// behaviour.
 #pragma once
 
 #include <algorithm>

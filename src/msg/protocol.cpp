@@ -6,18 +6,6 @@
 
 namespace polaris::msg {
 
-const char* to_string(Protocol p) {
-  switch (p) {
-    case Protocol::kEager:
-      return "eager";
-    case Protocol::kRendezvous:
-      return "rendezvous";
-    case Protocol::kRdma:
-      return "rdma";
-  }
-  return "?";
-}
-
 Protocol choose_protocol(const fabric::FabricParams& p, std::uint64_t bytes,
                          std::uint32_t eager_threshold_override) {
   const std::uint32_t threshold = eager_threshold_override != 0

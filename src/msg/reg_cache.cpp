@@ -52,11 +52,6 @@ double RegistrationCache::acquire(std::uintptr_t addr, std::size_t len) {
   return base_cost_ + per_page_cost_ * static_cast<double>(pages);
 }
 
-void RegistrationCache::invalidate(std::uintptr_t addr, std::size_t len) {
-  if (len == 0) return;
-  invalidate_overlaps_only(page_of(addr), page_of(addr + len - 1));
-}
-
 void RegistrationCache::invalidate_overlaps_only(std::uintptr_t first_page,
                                                  std::uintptr_t last_page) {
   for (auto it = regions_.begin(); it != regions_.end();) {
@@ -67,7 +62,6 @@ void RegistrationCache::invalidate_overlaps_only(std::uintptr_t first_page,
       pinned_bytes_ -= (r.last_page - r.first_page + 1) * kPageSize;
       lru_.erase(r.lru_it);
       it = regions_.erase(it);
-      ++stats_.invalidations;
     } else {
       ++it;
     }

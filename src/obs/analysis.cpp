@@ -120,41 +120,6 @@ CriticalPath TraceAnalysis::critical_path(std::string_view process) const {
   return path;
 }
 
-std::vector<Contribution> TraceAnalysis::total_by_name(
-    std::string_view process) const {
-  const std::vector<std::size_t> idx = spans_in(process);
-  std::int64_t t_begin = 0, t_end = 0;
-  bool any = false;
-  std::unordered_map<std::string, Contribution> by_name;
-  for (const std::size_t i : idx) {
-    const TraceEvent& ev = events_[i];
-    if (!any) {
-      t_begin = ev.start_ns;
-      t_end = ev.end_ns();
-      any = true;
-    } else {
-      t_begin = std::min(t_begin, ev.start_ns);
-      t_end = std::max(t_end, ev.end_ns());
-    }
-    Contribution& c = by_name[ev.name];
-    c.name = ev.name;
-    c.seconds += des::to_seconds(ev.dur_ns);
-    ++c.spans;
-  }
-  const double makespan = des::to_seconds(t_end - t_begin);
-  std::vector<Contribution> out;
-  out.reserve(by_name.size());
-  for (auto& [name, c] : by_name) {
-    c.fraction = makespan > 0.0 ? c.seconds / makespan : 0.0;
-    out.push_back(std::move(c));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Contribution& a, const Contribution& b) {
-              return a.seconds > b.seconds;
-            });
-  return out;
-}
-
 void TraceAnalysis::report(std::ostream& os, const CriticalPath& path,
                            std::size_t top_n) {
   char line[160];

@@ -61,11 +61,6 @@ class TraceAnalysis {
   /// (empty = every track).
   CriticalPath critical_path(std::string_view process = "ranks") const;
 
-  /// Total span seconds by name across a process group (all spans, not
-  /// just the critical path), descending.
-  std::vector<Contribution> total_by_name(
-      std::string_view process = {}) const;
-
   /// Human-readable report of a critical path: makespan, coverage, top
   /// contributors and the head of the chain.
   static void report(std::ostream& os, const CriticalPath& path,

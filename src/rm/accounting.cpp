@@ -17,8 +17,6 @@ const char* to_string(JobState s) {
       return "RUNNING";
     case JobState::kCompleted:
       return "COMPLETED";
-    case JobState::kCancelled:
-      return "CANCELLED";
   }
   return "?";
 }
@@ -54,7 +52,7 @@ void AccountingStore::on_requeue(JobId id, double at, double saved) {
   POLARIS_CHECK(r->state == JobState::kRunning && r->start >= 0.0);
   r->wasted_node_seconds += (at - r->start - saved) * r->width;
   // The aborted run still consumed the machine: charge all of it.
-  charge(r->user, r->account, (at - r->start) * r->width, at);
+  charge(r->user, (at - r->start) * r->width, at);
   r->start = -1.0;
   r->state = JobState::kPending;
   ++r->requeues;
@@ -65,13 +63,7 @@ void AccountingStore::on_complete(JobId id, double at) {
   POLARIS_CHECK(r->state == JobState::kRunning && r->start >= 0.0);
   r->finish = at;
   r->state = JobState::kCompleted;
-  charge(r->user, r->account, (at - r->start) * r->width, at);
-}
-
-void AccountingStore::on_cancel(JobId id, double at) {
-  JobRecord* r = record_for(id);
-  r->finish = at;
-  r->state = JobState::kCancelled;
+  charge(r->user, (at - r->start) * r->width, at);
 }
 
 void AccountingStore::set_user_shares(UserId user, double shares) {
@@ -84,13 +76,12 @@ double AccountingStore::decayed(const Usage& u, double now, double halflife) {
   return u.usage * std::exp2(-(now - u.last_decay) / halflife);
 }
 
-void AccountingStore::charge(UserId user, AccountId account,
-                             double node_seconds, double now) {
+void AccountingStore::charge(UserId user, double node_seconds,
+                             double now) {
   if (node_seconds <= 0.0) return;
-  for (Usage* u : {&users_[user], &accounts_[account]}) {
-    u->usage = decayed(*u, now, cfg_.fairshare_halflife) + node_seconds;
-    u->last_decay = now;
-  }
+  Usage& u = users_[user];
+  u.usage = decayed(u, now, cfg_.fairshare_halflife) + node_seconds;
+  u.last_decay = now;
   total_usage_ =
       decayed({total_usage_, total_last_decay_, 1.0}, now,
               cfg_.fairshare_halflife) +
@@ -112,14 +103,6 @@ double AccountingStore::user_usage(UserId user, double now) const {
 
 double AccountingStore::user_factor(UserId user, double now) const {
   const Usage* u = users_.find(user);
-  if (!u) return 1.0;
-  const double usage = decayed(*u, now, cfg_.fairshare_halflife);
-  const double fair = u->shares * std::max(mean_usage(now), 1e-9);
-  return std::exp2(-usage / fair);
-}
-
-double AccountingStore::account_factor(AccountId account, double now) const {
-  const Usage* u = accounts_.find(account);
   if (!u) return 1.0;
   const double usage = decayed(*u, now, cfg_.fairshare_halflife);
   const double fair = u->shares * std::max(mean_usage(now), 1e-9);

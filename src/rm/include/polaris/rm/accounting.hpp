@@ -7,9 +7,8 @@
 // append-ordered by first submission and indexed by JobId through a
 // FlatMap64, so recording is O(1) per event.
 //
-// Fair share follows the classic decayed-usage model: each user's (and
-// account's) consumed node-seconds decay exponentially with a configured
-// half-life, and the priority factor is 2^(-usage / (shares * mean)) —
+// Fair share follows the classic decayed-usage model: each user's
+// consumed node-seconds decay exponentially with a configured half-life, and the priority factor is 2^(-usage / (shares * mean)) —
 // 1.0 for an idle user, 0.5 at exactly the fair allocation, approaching 0
 // for hogs.  The scheduler folds the factor into queue tiers at
 // submit/requeue time.
@@ -38,7 +37,7 @@ struct JobRecord {
   std::int32_t priority = 0;
   double submit = 0.0;
   double start = -1.0;   ///< most recent start; -1 while pending
-  double finish = -1.0;  ///< -1 until completed/cancelled
+  double finish = -1.0;  ///< -1 until completed
   double wasted_node_seconds = 0.0;  ///< lost to preemption/node failure
   std::uint32_t requeues = 0;
   JobState state = JobState::kPending;
@@ -62,14 +61,12 @@ class AccountingStore {
   /// less the `saved` seconds of it that completed checkpoints keep.
   void on_requeue(JobId id, double at, double saved = 0.0);
   void on_complete(JobId id, double at);
-  void on_cancel(JobId id, double at);
 
   /// Default 1.0; higher shares tolerate more usage before losing factor.
   void set_user_shares(UserId user, double shares);
 
   /// Decayed-usage priority factor in (0, 1]; 1.0 for an unused identity.
   double user_factor(UserId user, double now) const;
-  double account_factor(AccountId account, double now) const;
 
   /// Decayed node-seconds charged to a user so far.
   double user_usage(UserId user, double now) const;
@@ -78,7 +75,7 @@ class AccountingStore {
   struct Query {
     UserId user = kNilIndex;        ///< kNilIndex = any
     AccountId account = kNilIndex;  ///< kNilIndex = any
-    JobState state = JobState::kCancelled;
+    JobState state = JobState::kPending;
     bool filter_state = false;
   };
   /// Matching records sorted by JobId.
@@ -109,8 +106,7 @@ class AccountingStore {
   };
 
   JobRecord* record_for(JobId id);
-  void charge(UserId user, AccountId account, double node_seconds,
-              double now);
+  void charge(UserId user, double node_seconds, double now);
   static double decayed(const Usage& u, double now, double halflife);
   double mean_usage(double now) const;
 
@@ -118,7 +114,6 @@ class AccountingStore {
   std::deque<JobRecord> records_;
   support::FlatMap64<std::uint32_t> index_;  ///< JobId -> records_ pos
   support::FlatMap64<Usage> users_;
-  support::FlatMap64<Usage> accounts_;
   double total_usage_ = 0.0;        ///< decayed, brought current lazily
   double total_last_decay_ = 0.0;
 };

@@ -1,10 +1,10 @@
 // polaris::rm — a live, topology-aware resource manager.
 //
 // The ResourceManager is a DES *service*: submissions, completions,
-// reservations, backfill cycles and fault notifications are all engine
-// events, so scheduling interleaves with everything else in the simulated
-// machine (fabric traffic, heartbeats, fault injection).  The architecture
-// is SLURM-shaped:
+// backfill cycles and fault notifications are all engine events, so
+// scheduling interleaves with everything else in the simulated machine
+// (fabric traffic, heartbeats, fault injection).  The architecture is
+// SLURM-shaped:
 //
 //  - Placement: jobs receive contiguous blocks of the real fabric from a
 //    buddy BlockAllocator over a locality-preserving linearization
@@ -26,10 +26,6 @@
 //    running jobs (the victim keeps its checkpointed work, the rest is
 //    accounted as wasted node-seconds, and it requeues at the front of
 //    its tier).
-//  - Reservations: advance windows [start, end) of guaranteed width.
-//    Before the window opens, jobs whose planned end crosses the start
-//    must leave the width free; at open the manager takes a hold on the
-//    nodes and releases them only to jobs tagged with the reservation.
 //  - Faults: as a fault::FaultListener, a node crash kills the owning
 //    job (requeue, front of tier), drains the node, and triggers
 //    replacement allocation; repair undrains and wakes the queue.
@@ -108,12 +104,6 @@ class ResourceManager final : public fault::FaultListener {
   /// engine.run(); ids must be unique.
   void submit(const JobSpec& spec);
 
-  /// Advance reservation of `width` nodes over [start, end) sim-seconds.
-  /// Jobs carrying the returned id in JobSpec::reservation run inside the
-  /// window; everyone else is kept from colliding with it.
-  ReservationId add_reservation(double start, double end,
-                                std::uint32_t width);
-
   // --- fault integration ---
   /// Subscribes to the injector; crashes/repairs then flow through
   /// on_fault automatically.
@@ -178,29 +168,11 @@ class ResourceManager final : public fault::FaultListener {
     ResourceManager* rm = nullptr;  ///< raw-callback context backpointer
   };
 
-  struct Reservation {
-    double start = 0.0;
-    double end = 0.0;
-    std::uint32_t width = 0;
-    std::uint32_t remaining = 0;  ///< width not yet granted to tagged jobs
-    Allocation hold;
-    bool active = false;
-    bool expired = false;
-    ResourceManager* rm = nullptr;
-    std::uint32_t index = 0;
-    /// Pending tagged jobs, re-tiered to boost_tier() when the window opens.
-    std::vector<std::uint32_t> tagged;
-  };
-
   static constexpr std::uint32_t kMaxTiers = 64;
-  /// Owner tags >= this mark reservation holds rather than jobs.
-  static constexpr std::uint32_t kResvTagBase = 0x8000'0000u;
 
   static void arrival_cb(void* ctx);
   static void completion_cb(void* ctx);
   static void backfill_timer_cb(void* ctx);
-  static void resv_start_cb(void* ctx);
-  static void resv_end_cb(void* ctx);
 
   double now_s() const;
   /// Wall seconds per second of work: checkpoint writes stretch a run.
@@ -214,22 +186,10 @@ class ResourceManager final : public fault::FaultListener {
            stretch(spec);
   }
   std::uint32_t compute_tier(const JobSpec& spec) const;
-  /// Tier above every normal one, for jobs whose reservation window is open.
-  std::uint32_t boost_tier() const {
-    const std::uint32_t p = std::max(1u, cfg_.priority_tiers);
-    const std::uint32_t f =
-        cfg_.fair_share ? std::max(1u, cfg_.fairshare_tiers) : 1u;
-    return p * f;
-  }
 
   void enqueue(RmJob& job, bool front);
   void dequeue(RmJob& job);
   RmJob* queue_head();
-
-  /// Free nodes a pending job may actually take now, after withholding
-  /// capacity for reservations its planned run would collide with.
-  std::uint32_t available_for(const RmJob& job) const;
-  bool reservation_admits(const RmJob& job) const;
 
   void start_job(RmJob& job, bool via_backfill);
   void finish_job(RmJob& job);
@@ -256,8 +216,6 @@ class ResourceManager final : public fault::FaultListener {
   std::uint64_t queue_mask_ = 0;
   std::size_t pending_count_ = 0;
   std::size_t running_count_ = 0;
-
-  std::deque<Reservation> reservations_;
 
   /// Tick of the last backfill cycle (integer ticks: the rate-limit
   /// comparison and the deferred-timer target must agree exactly, which

@@ -25,16 +25,13 @@ namespace polaris::rm {
 using JobId = std::uint64_t;
 using UserId = std::uint32_t;
 using AccountId = std::uint32_t;
-using ReservationId = std::uint32_t;
 
 inline constexpr std::uint32_t kNilIndex = 0xffff'ffffu;
-inline constexpr ReservationId kNoReservation = 0xffff'ffffu;
 
 enum class JobState : std::uint8_t {
   kPending,    ///< queued (includes requeued-after-failure)
   kRunning,
   kCompleted,
-  kCancelled,
 };
 
 const char* to_string(JobState s);
@@ -61,7 +58,6 @@ struct JobSpec {
   std::uint32_t width = 1;
   std::int32_t priority = 0;  ///< base priority; higher schedules first
   bool preemptible = true;
-  ReservationId reservation = kNoReservation;  ///< run inside this window
   /// Seconds of work between checkpoints; 0 = none (a requeue restarts
   /// from scratch).  Each checkpoint takes `checkpoint_cost` seconds, so a
   /// run lasts its work times (1 + checkpoint_cost / checkpoint_interval).

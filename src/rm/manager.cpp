@@ -103,8 +103,7 @@ ResourceManager::ResourceManager(des::Engine& engine, std::size_t nodes,
   const std::uint32_t p = std::max(1u, cfg_.priority_tiers);
   const std::uint32_t f = cfg_.fair_share ? std::max(1u, cfg_.fairshare_tiers)
                                           : 1u;
-  // One tier above the normal range is kept for reservation-boosted jobs.
-  POLARIS_CHECK_MSG(p * f <= kMaxTiers - 1, "rm: too many priority tiers");
+  POLARIS_CHECK_MSG(p * f <= kMaxTiers, "rm: too many priority tiers");
 }
 
 ResourceManager::ResourceManager(des::Engine& engine,
@@ -120,7 +119,7 @@ ResourceManager::ResourceManager(des::Engine& engine,
   const std::uint32_t p = std::max(1u, cfg_.priority_tiers);
   const std::uint32_t f = cfg_.fair_share ? std::max(1u, cfg_.fairshare_tiers)
                                           : 1u;
-  POLARIS_CHECK_MSG(p * f <= kMaxTiers - 1, "rm: too many priority tiers");
+  POLARIS_CHECK_MSG(p * f <= kMaxTiers, "rm: too many priority tiers");
 }
 
 double ResourceManager::now_s() const { return des::to_seconds(engine_->now()); }
@@ -147,9 +146,6 @@ void ResourceManager::submit(const JobSpec& spec) {
                 spec.checkpoint_cost >= 0.0);
   POLARIS_CHECK_MSG(job_index_.find(spec.id) == nullptr,
                     "rm: duplicate job id");
-  if (spec.reservation != kNoReservation) {
-    POLARIS_CHECK(spec.reservation < reservations_.size());
-  }
   const auto slot = static_cast<std::uint32_t>(jobs_.size());
   jobs_.emplace_back();
   RmJob& job = jobs_.back();
@@ -168,14 +164,6 @@ void ResourceManager::arrival_cb(void* ctx) {
   ResourceManager& rm = *job.rm;
   rm.acct_.on_submit(job.spec);
   job.tier = rm.compute_tier(job.spec);
-  if (job.spec.reservation != kNoReservation) {
-    Reservation& r = rm.reservations_[job.spec.reservation];
-    if (r.active) {
-      job.tier = rm.boost_tier();
-    } else if (!r.expired) {
-      r.tagged.push_back(job.slot);
-    }
-  }
   rm.enqueue(job, /*front=*/false);
   if (rm.have_track_) {
     rm.tracer_->instant(rm.track_, "submit job " + std::to_string(job.spec.id),
@@ -243,52 +231,10 @@ ResourceManager::RmJob* ResourceManager::queue_head() {
   return &jobs_[head_[t]];
 }
 
-bool ResourceManager::reservation_admits(const RmJob& job) const {
-  if (job.spec.reservation == kNoReservation) return true;
-  const Reservation& r = reservations_[job.spec.reservation];
-  if (r.expired) return true;  // window passed: compete as a normal job
-  return r.active;
-}
-
-std::uint32_t ResourceManager::available_for(const RmJob& job) const {
-  if (job.spec.reservation != kNoReservation) {
-    const Reservation& r = reservations_[job.spec.reservation];
-    if (r.active) return r.remaining;  // granted out of the hold
-  }
-  auto free = static_cast<std::uint32_t>(alloc_.free_count());
-  const double end = now_s() + planning_estimate(job.spec);
-  for (const Reservation& r : reservations_) {
-    if (r.active || r.expired) continue;
-    if (r.start >= end) continue;  // the job vacates before the window
-    free -= std::min(free, r.width);
-  }
-  return free;
-}
-
 void ResourceManager::start_job(RmJob& job, bool via_backfill) {
   const std::uint32_t width = job.spec.width;
-  if (job.spec.reservation != kNoReservation &&
-      reservations_[job.spec.reservation].active) {
-    // Grant out of the reservation hold: release it, place the job (the
-    // just-freed nodes are available again), re-hold the rest.
-    Reservation& r = reservations_[job.spec.reservation];
-    if (!r.hold.nodes.empty()) {
-      alloc_.release(r.hold);
-      r.hold.clear();
-    }
-    POLARIS_CHECK(r.remaining >= width);
-    r.remaining -= width;
-    const bool ok = alloc_.allocate(width, job.slot, job.alloc);
-    POLARIS_CHECK(ok);
-    r.remaining = std::min(
-        r.remaining, static_cast<std::uint32_t>(alloc_.free_count()));
-    if (r.remaining > 0) {
-      alloc_.allocate(r.remaining, kResvTagBase + r.index, r.hold);
-    }
-  } else {
-    const bool ok = alloc_.allocate(width, job.slot, job.alloc);
-    POLARIS_CHECK(ok);
-  }
+  const bool ok = alloc_.allocate(width, job.slot, job.alloc);
+  POLARIS_CHECK(ok);
 
   job.state = JobState::kRunning;
   job.start = now_s();
@@ -386,8 +332,7 @@ void ResourceManager::run_queue() {
 void ResourceManager::quick_start() {
   while (queue_mask_ != 0) {
     RmJob* j = queue_head();
-    if (!reservation_admits(*j)) break;
-    if (j->spec.width > available_for(*j)) break;
+    if (j->spec.width > alloc_.free_count()) break;
     dequeue(*j);
     start_job(*j, /*via_backfill=*/false);
   }
@@ -434,13 +379,11 @@ void ResourceManager::backfill_cycle() {
         const std::uint32_t nxt = c.next;
         ++scanned;
         const bool is_head = s == head_slot;
-        if (reservation_admits(c)) {
-          const double est = planning_estimate(c.spec);
-          const double earliest = prof.reserve(c.spec.width, est);
-          if (earliest <= now && c.spec.width <= available_for(c)) {
-            dequeue(c);
-            start_job(c, /*via_backfill=*/!is_head);
-          }
+        const double est = planning_estimate(c.spec);
+        const double earliest = prof.reserve(c.spec.width, est);
+        if (earliest <= now && c.spec.width <= alloc_.free_count()) {
+          dequeue(c);
+          start_job(c, /*via_backfill=*/!is_head);
         }
         s = nxt;
       }
@@ -467,7 +410,7 @@ void ResourceManager::backfill_cycle() {
       const std::uint32_t nxt = c.next;
       if (&c != head) {
         ++scanned;
-        if (reservation_admits(c) && c.spec.width <= available_for(c)) {
+        if (c.spec.width <= alloc_.free_count()) {
           const double est = planning_estimate(c.spec);
           const bool ends_before_shadow = now + est <= shadow.time;
           const bool fits_extra = c.spec.width <= extra;
@@ -484,9 +427,9 @@ void ResourceManager::backfill_cycle() {
 }
 
 void ResourceManager::try_preempt_for(RmJob& head) {
-  if (!reservation_admits(head)) return;
   const std::uint32_t need = head.spec.width;
-  if (available_for(head) >= need) return;  // quick_start will take it
+  const auto free = static_cast<std::uint32_t>(alloc_.free_count());
+  if (free >= need) return;  // quick_start will take it
   if (head.tier < cfg_.preempt_gap) return;
   const std::uint32_t max_victim_tier = head.tier - cfg_.preempt_gap;
 
@@ -510,7 +453,7 @@ void ResourceManager::try_preempt_for(RmJob& head) {
               if (a.start != b.start) return a.start > b.start;
               return a.id > b.id;
             });
-  std::uint32_t would_free = available_for(head);
+  std::uint32_t would_free = free;
   std::size_t take = 0;
   while (take < victims.size() && would_free < need) {
     would_free += jobs_[victims[take].slot].spec.width;
@@ -520,68 +463,6 @@ void ResourceManager::try_preempt_for(RmJob& head) {
   for (std::size_t i = 0; i < take; ++i) {
     requeue_job(jobs_[victims[i].slot], /*preempted=*/true);
   }
-}
-
-ReservationId ResourceManager::add_reservation(double start, double end,
-                                               std::uint32_t width) {
-  POLARIS_CHECK(end > start && width >= 1 &&
-                width <= alloc_.node_count());
-  const auto idx = static_cast<std::uint32_t>(reservations_.size());
-  reservations_.emplace_back();
-  Reservation& r = reservations_.back();
-  r.start = start;
-  r.end = end;
-  r.width = width;
-  r.remaining = 0;
-  r.rm = this;
-  r.index = idx;
-  engine_->schedule_raw_at(
-      std::max(engine_->now(), des::from_seconds(start)), &resv_start_cb, &r);
-  engine_->schedule_raw_at(
-      std::max(engine_->now(), des::from_seconds(end)), &resv_end_cb, &r);
-  return idx;
-}
-
-void ResourceManager::resv_start_cb(void* ctx) {
-  Reservation& r = *static_cast<Reservation*>(ctx);
-  ResourceManager& rm = *r.rm;
-  r.active = true;
-  // Take the hold: whatever of the width is actually free (the admission
-  // guard kept jobs that would overlap the window off these nodes).
-  const auto take = std::min<std::uint32_t>(
-      r.width, static_cast<std::uint32_t>(rm.alloc_.free_count()));
-  r.remaining = take;
-  if (take > 0) {
-    rm.alloc_.allocate(take, kResvTagBase + r.index, r.hold);
-  }
-  for (const std::uint32_t slot : r.tagged) {
-    RmJob& j = rm.jobs_[slot];
-    if (j.state == JobState::kPending && j.queued) {
-      rm.dequeue(j);
-      j.tier = rm.boost_tier();
-      rm.enqueue(j, /*front=*/false);
-    }
-  }
-  r.tagged.clear();
-  if (rm.have_track_) {
-    rm.tracer_->instant(rm.track_,
-                        "reservation " + std::to_string(r.index) + " open",
-                        "rm");
-  }
-  rm.run_queue();
-}
-
-void ResourceManager::resv_end_cb(void* ctx) {
-  Reservation& r = *static_cast<Reservation*>(ctx);
-  ResourceManager& rm = *r.rm;
-  r.active = false;
-  r.expired = true;
-  r.remaining = 0;
-  if (!r.hold.nodes.empty()) {
-    rm.alloc_.release(r.hold);
-    r.hold.clear();
-  }
-  rm.run_queue();
 }
 
 void ResourceManager::on_fault(const fault::FaultEvent& ev) {
@@ -602,14 +483,7 @@ void ResourceManager::node_failed(fabric::NodeId node) {
   if (alloc_.drained(node)) return;
   const std::uint32_t owner = alloc_.owner_of(node);
   alloc_.drain(node);
-  if (owner == kNilIndex) {
-    // idle node: just removed from the free pool
-  } else if (owner >= kResvTagBase) {
-    Reservation& r = reservations_[owner - kResvTagBase];
-    if (r.remaining > 0) --r.remaining;
-  } else {
-    requeue_job(jobs_[owner], /*preempted=*/false);
-  }
+  if (owner != kNilIndex) requeue_job(jobs_[owner], /*preempted=*/false);
   run_queue();
 }
 

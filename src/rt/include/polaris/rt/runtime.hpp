@@ -26,9 +26,7 @@
 #include <vector>
 
 #include "polaris/coll/algorithms.hpp"
-#include "polaris/coll/local_exec.hpp"
 #include "polaris/msg/active_msg.hpp"
-#include "polaris/msg/completion.hpp"
 #include "polaris/msg/tag_matcher.hpp"
 #include "polaris/obs/metrics.hpp"
 #include "polaris/obs/trace.hpp"
@@ -113,8 +111,9 @@ class Communicator {
   RecvStatus wait(Request& r);
 
   // -- active messages -------------------------------------------------------
-  /// Handlers must be registered before ShmWorld::run() spawns ranks (the
-  /// table is per-rank; register identical handlers on every rank).
+  /// The table is per-rank: every rank registers the same handlers in the
+  /// same order, from its own program, before its first receive or
+  /// progress call (an arriving message waits in the ring until then).
   msg::AmHandlerId register_am(msg::AmHandler handler);
   void am_send(int dst, msg::AmHandlerId handler,
                std::span<const std::byte> payload);
@@ -211,10 +210,6 @@ class ShmWorld {
   /// Runs one SPMD program across all ranks.  May be called repeatedly;
   /// communicator state persists between runs.
   void run(const std::function<void(Communicator&)>& fn);
-
-  /// Access a rank's communicator between runs (e.g. to register AM
-  /// handlers or read stats).  Do not call while run() is active.
-  Communicator& comm(int rank);
 
   /// Attaches a tracer (use an obs::WallClock): one track per rank with
   /// spans around sends, receives, waits and collectives, stamped in real

@@ -396,11 +396,6 @@ ShmWorld::ShmWorld(int ranks, ShmOptions opts) : size_(ranks) {
 
 ShmWorld::~ShmWorld() = default;
 
-Communicator& ShmWorld::comm(int rank) {
-  POLARIS_CHECK(rank >= 0 && rank < size_);
-  return *comms_[rank];
-}
-
 void ShmWorld::attach_tracer(obs::Tracer& tracer) {
   for (auto& c : comms_) {
     c->tracer_ = &tracer;

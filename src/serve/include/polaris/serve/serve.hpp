@@ -245,8 +245,6 @@ class ServeSim : public fault::FaultListener {
   Request& acquire_request();
   void release_request(std::uint32_t slot);
 
-  std::size_t live_shards() const;
-
   ServeConfig cfg_;
   des::Engine engine_;
   std::unique_ptr<fabric::Topology> topo_;

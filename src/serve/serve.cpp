@@ -88,12 +88,6 @@ fault::Injector& ServeSim::injector() {
   return *injector_;
 }
 
-std::size_t ServeSim::live_shards() const {
-  std::size_t n = 0;
-  for (const Shard& s : shards_) n += s.up ? 1 : 0;
-  return n;
-}
-
 // ------------------------------------------------------------- live control
 
 void ServeSim::set_shard_admin(std::size_t shard, bool accept) {

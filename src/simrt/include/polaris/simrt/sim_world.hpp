@@ -15,8 +15,8 @@
 // polaris::coll schedules the real runtime executes.
 //
 // Simulation carries byte counts, not data: correctness of data movement is
-// proved by the local executor and the real runtime; SimWorld answers "how
-// long does it take on fabric X at scale N".
+// proved by the tests' in-memory collective oracle and the real runtime;
+// SimWorld answers "how long does it take on fabric X at scale N".
 //
 // Host-side hot path (simulated timing is bit-identical either way): every
 // message is a slab-pooled InFlight record addressed by slot+generation,
@@ -54,7 +54,6 @@
 #include "polaris/obs/metrics.hpp"
 #include "polaris/obs/trace.hpp"
 #include "polaris/support/flat_map.hpp"
-#include "polaris/support/function.hpp"
 
 namespace polaris::fault {
 class Injector;
@@ -76,8 +75,6 @@ enum class SimStatus : std::uint8_t {
   kTimeout,   ///< a posted receive saw no message within the policy timeout
 };
 
-const char* to_string(SimStatus status);
-
 /// Fault-recovery knobs for the messaging layer (SimWorld::enable_faults).
 /// A failed wire transfer is retried up to max_retries times with
 /// exponential backoff; recv_timeout > 0 additionally arms a timer on every
@@ -88,26 +85,6 @@ struct RetryPolicy {
   double backoff = 1e-3;         ///< seconds before the first retry
   double backoff_factor = 2.0;   ///< multiplier per subsequent retry
   double recv_timeout = 0.0;     ///< seconds; 0 disables receive timeouts
-};
-
-/// Congestion-aware eager admission (SimWorld::set_admission).
-///
-/// With max_per_dest > 0, an eager wire injection toward a destination rank
-/// that already has that many eager messages on the wire is deferred by
-/// `backoff` seconds (doubling per consecutive deferral of the same
-/// message) before re-testing — senders back off hot destinations instead
-/// of piling serialization onto their edge link.  After max_deferrals the
-/// message injects regardless: admission shapes traffic, it never drops,
-/// and per-source ordering is preserved by the receiver's sequence-number
-/// hold rings exactly as for any other out-of-order delivery.
-///
-/// Disabled by default (max_per_dest == 0): the wire chain takes one
-/// untaken branch and runs are event-for-event identical to the seed.
-struct AdmissionControl {
-  std::uint32_t max_per_dest = 0;  ///< in-flight eager cap per dest; 0 = off
-  double backoff = 5e-6;           ///< seconds before the first re-test
-  double backoff_factor = 2.0;     ///< multiplier per consecutive deferral
-  std::uint32_t max_deferrals = 8; ///< then inject unconditionally
 };
 
 namespace detail {
@@ -132,7 +109,6 @@ struct InFlight {
   // Fault-path state (untouched on healthy runs beyond the acquire reset).
   SimStatus status = SimStatus::kOk;  ///< sticky first failure
   std::uint8_t retries_used = 0;      ///< eager wire retries consumed
-  std::uint8_t deferrals = 0;         ///< eager admission back-offs consumed
   bool dropped = false;               ///< gave up; seq advanced, no delivery
   des::EventId sync_timeout{};        ///< rendezvous match-wait deadline
 };
@@ -167,15 +143,10 @@ struct TraceIds {
   obs::NameId reg_hit = obs::kNoName;
   obs::NameId wait = obs::kNoName;
   obs::NameId wait_all = obs::kNoName;
-  obs::NameId put = obs::kNoName;
-  obs::NameId get = obs::kNoName;
-  obs::NameId am_send = obs::kNoName;
   obs::NameId compute = obs::kNoName;
   obs::NameId barrier = obs::kNoName;
   obs::NameId broadcast = obs::kNoName;
   obs::NameId allreduce = obs::kNoName;
-  obs::NameId allgather = obs::kNoName;
-  obs::NameId alltoall = obs::kNoName;
 
   obs::NameId cat_eager = obs::kNoName;
   obs::NameId cat_rendezvous = obs::kNoName;
@@ -184,7 +155,6 @@ struct TraceIds {
   obs::NameId cat_fault = obs::kNoName;
   obs::NameId cat_p2p = obs::kNoName;
   obs::NameId cat_reg = obs::kNoName;
-  obs::NameId cat_am = obs::kNoName;
   obs::NameId cat_cpu = obs::kNoName;
   obs::NameId cat_coll = obs::kNoName;
 
@@ -276,24 +246,6 @@ class SimComm {
   /// still waited, so no slot leaks on partial failure).
   des::Task<SimStatus> wait_all(std::span<const SimRequest> requests);
 
-  /// One-sided RDMA put: no receiver involvement (fabric must have rdma).
-  des::Task<SimStatus> put(int dst, std::uint64_t bytes,
-                           std::uintptr_t buffer_addr = 0);
-
-  /// One-sided RDMA get: request header out, payload back, no remote CPU.
-  des::Task<SimStatus> get(int src, std::uint64_t bytes,
-                           std::uintptr_t buffer_addr = 0);
-
-  /// Active messages (timing-level): the handler runs at the destination
-  /// when the payload lands, with no posted receive.  Handlers must be
-  /// registered before launch on every rank (SPMD convention).
-  using AmHandler = support::UniqueFunction<void(int src,
-                                                 std::uint64_t bytes)>;
-  std::uint32_t register_am(AmHandler handler);
-  des::Task<SimStatus> am_send(int dst, std::uint32_t handler,
-                               std::uint64_t bytes);
-  std::uint64_t am_dispatched() const { return am_dispatched_; }
-
   /// Local computation of `flops` touching `mem_bytes` of DRAM, timed by
   /// the node's roofline model.
   des::Task<void> compute(double flops, double mem_bytes);
@@ -313,8 +265,6 @@ class SimComm {
   des::Task<SimStatus> barrier();
   des::Task<SimStatus> broadcast(std::uint64_t bytes, int root);
   des::Task<SimStatus> allreduce(std::uint64_t bytes);
-  des::Task<SimStatus> allgather(std::uint64_t block_bytes);
-  des::Task<SimStatus> alltoall(std::uint64_t block_bytes);
 
   /// Current simulated time in seconds.
   double now() const;
@@ -451,8 +401,6 @@ class SimComm {
   des::SimTime earliest_next_send_ = 0;
   std::uint64_t eager_count_ = 0;
   std::uint64_t rendezvous_count_ = 0;
-  std::vector<AmHandler> am_handlers_;
-  std::uint64_t am_dispatched_ = 0;
   std::unique_ptr<msg::RegistrationCache> reg_cache_;
 
   // Observability hooks; null until SimWorld::attach_* is called, and every
@@ -539,24 +487,6 @@ class SimWorld {
   std::uint64_t ranks_launched() const { return ranks_launched_; }
   std::uint64_t ranks_finished() const { return ranks_finished_; }
 
-  // -- eager admission control -------------------------------------------------
-  /// Arms congestion-aware eager admission (see AdmissionControl).  Call
-  /// before launch(); never call with messages on the wire.
-  void set_admission(AdmissionControl admission);
-  const AdmissionControl& admission() const { return admission_; }
-  bool admission_enabled() const { return admission_.max_per_dest > 0; }
-  std::uint32_t eager_dest_load(int rank) const {
-    return eager_dest_load_[static_cast<std::size_t>(rank)];
-  }
-  void note_eager_inject(int rank) {
-    ++eager_dest_load_[static_cast<std::size_t>(rank)];
-  }
-  void note_eager_done(int rank) {
-    --eager_dest_load_[static_cast<std::size_t>(rank)];
-  }
-  void count_deferral() { ++eager_deferrals_; }
-  std::uint64_t eager_deferrals() const { return eager_deferrals_; }
-
   /// Attaches a tracer (use an obs::SimClock over this world's engine):
   /// one track per rank plus the network's per-link tracks.  Rank spans
   /// cover every operation — send/recv with protocol-phase sub-spans,
@@ -617,9 +547,6 @@ class SimWorld {
   obs::Tracer* bound_tracer_ = nullptr;  ///< tracer tracks were built for
   fault::Injector* injector_ = nullptr;
   RetryPolicy retry_policy_;
-  AdmissionControl admission_;
-  std::vector<std::uint32_t> eager_dest_load_;  ///< empty until set_admission
-  std::uint64_t eager_deferrals_ = 0;
   std::uint64_t msg_retries_ = 0;
   std::uint64_t msg_drops_ = 0;
   std::uint64_t recv_timeouts_ = 0;

@@ -26,20 +26,6 @@ SimStatus from_xfer(fabric::XferStatus status) {
 }
 }  // namespace
 
-const char* to_string(SimStatus status) {
-  switch (status) {
-    case SimStatus::kOk:
-      return "ok";
-    case SimStatus::kPeerDown:
-      return "peer-down";
-    case SimStatus::kLinkDown:
-      return "link-down";
-    case SimStatus::kTimeout:
-      return "timeout";
-  }
-  return "?";
-}
-
 // ----------------------------------------------------------------- SimComm
 
 SimComm::SimComm(SimWorld& world, int rank, std::size_t ranks)
@@ -138,29 +124,7 @@ des::Task<void> SimComm::send_eager(detail::InFlight& f) {
 void SimComm::eager_wire_cb(void* ctx) {
   auto& f = *static_cast<detail::InFlight*>(ctx);
   SimComm& dst = *f.dst_comm;
-  SimWorld& w = *dst.world_;
-  if (w.admission_enabled()) {
-    const AdmissionControl& ac = w.admission();
-    if (f.deferrals < ac.max_deferrals &&
-        w.eager_dest_load(dst.rank_) >= ac.max_per_dest) {
-      // The destination is hot: hold this injection back and re-test
-      // after an exponentially growing pause.
-      double backoff = ac.backoff;
-      for (std::uint8_t i = 0; i < f.deferrals; ++i) {
-        backoff *= ac.backoff_factor;
-      }
-      ++f.deferrals;
-      w.count_deferral();
-      w.engine().schedule_raw_after(des::from_seconds(backoff),
-                                    &SimComm::eager_wire_cb, &f);
-      return;
-    }
-    // Admitted: counted until eager_delivered_cb runs (a failed wire leg
-    // decrements there and re-increments when the retry re-enters here,
-    // so the load count tracks actual wire occupancy).
-    w.note_eager_inject(dst.rank_);
-  }
-  w.network().transfer_raw(
+  dst.world_->network().transfer_raw(
       dst.node_of(f.src), dst.node_of(dst.rank_),
       f.bytes + SimWorld::kHeaderBytes, &SimComm::eager_delivered_cb, &f);
 }
@@ -169,7 +133,6 @@ void SimComm::eager_delivered_cb(void* ctx, fabric::XferStatus status) {
   auto& f = *static_cast<detail::InFlight*>(ctx);
   SimComm& dst = *f.dst_comm;
   SimWorld& w = *dst.world_;
-  if (w.admission_enabled()) w.note_eager_done(dst.rank_);
   if (status != fabric::XferStatus::kOk) {
     const RetryPolicy& rp = w.retry_policy();
     if (f.retries_used < rp.max_retries) {
@@ -284,11 +247,15 @@ des::Task<SimStatus> SimComm::send_rendezvous(detail::InFlight& f,
     co_await f.matched.wait();
     eng.cancel(f.sync_timeout);
     if (f.status != SimStatus::kOk) {
-      // Declared dead before posting its receive.  The envelope stays in
-      // the dead rank's matcher; its reference is stranded with it (a
-      // bounded leak, one record per abandoned handshake — see DESIGN.md).
+      // Declared dead before its receive matched.  The envelope waits in
+      // the dead rank's matcher like any unreceived message, holding the
+      // receiver's reference.  Fire `delivered` as the lost-CTS branch
+      // does: the dead rank's program keeps running, and a receive that
+      // matches the envelope later then returns the failure and frees the
+      // record instead of waiting forever.
       world_->count_drop();
       const SimStatus st = f.status;
+      f.delivered.fire(eng);
       world_->release_inflight_ref(f.slot);
       co_return st;
     }
@@ -658,79 +625,6 @@ des::Task<SimStatus> SimComm::wait_all(std::span<const SimRequest> requests) {
   co_return first_error;
 }
 
-des::Task<SimStatus> SimComm::put(int dst, std::uint64_t bytes,
-                                  std::uintptr_t buffer_addr) {
-  const auto& p = world_->params();
-  POLARIS_CHECK_MSG(p.rdma, "put() requires an RDMA-capable fabric");
-  auto& eng = world_->engine();
-  obs::ScopedSpan span(tracer_, track_, ids_->put, ids_->cat_rdma);
-  co_await des::delay(eng, des::from_seconds(p.o_send));
-  const std::uintptr_t addr =
-      buffer_addr != 0 ? buffer_addr : default_addr();
-  const double reg = reg_cache_->acquire(addr, bytes);
-  if (reg > 0.0) co_await des::delay(eng, des::from_seconds(reg));
-  const fabric::XferStatus xst =
-      co_await transfer_retry(node_of(rank_), node_of(dst),
-                              bytes + SimWorld::kHeaderBytes);
-  if (xst != fabric::XferStatus::kOk) world_->count_drop();
-  co_return from_xfer(xst);
-}
-
-des::Task<SimStatus> SimComm::get(int src, std::uint64_t bytes,
-                                  std::uintptr_t buffer_addr) {
-  const auto& p = world_->params();
-  POLARIS_CHECK_MSG(p.rdma, "get() requires an RDMA-capable fabric");
-  auto& eng = world_->engine();
-  obs::ScopedSpan span(tracer_, track_, ids_->get, ids_->cat_rdma);
-  co_await des::delay(eng, des::from_seconds(p.o_send));
-  const std::uintptr_t addr =
-      buffer_addr != 0 ? buffer_addr : default_addr();
-  const double reg = reg_cache_->acquire(addr, bytes);
-  if (reg > 0.0) co_await des::delay(eng, des::from_seconds(reg));
-  // Request header to the source, payload back; the source CPU never runs.
-  fabric::XferStatus xst =
-      co_await transfer_retry(node_of(rank_), node_of(src),
-                              SimWorld::kHeaderBytes);
-  if (xst == fabric::XferStatus::kOk) {
-    xst = co_await transfer_retry(node_of(src), node_of(rank_),
-                                  bytes + SimWorld::kHeaderBytes);
-  }
-  if (xst != fabric::XferStatus::kOk) world_->count_drop();
-  co_return from_xfer(xst);
-}
-
-std::uint32_t SimComm::register_am(AmHandler handler) {
-  POLARIS_CHECK_MSG(static_cast<bool>(handler), "handler must be callable");
-  am_handlers_.push_back(std::move(handler));
-  return static_cast<std::uint32_t>(am_handlers_.size() - 1);
-}
-
-des::Task<SimStatus> SimComm::am_send(int dst, std::uint32_t handler,
-                                      std::uint64_t bytes) {
-  POLARIS_CHECK(dst >= 0 && dst < size());
-  const auto& p = world_->params();
-  auto& eng = world_->engine();
-  obs::ScopedSpan span(tracer_, track_, ids_->am_send, ids_->cat_am);
-  const double copy = static_cast<double>(bytes) / p.copy_bw;
-  co_await des::delay(eng, des::from_seconds(p.o_send + copy));
-  const fabric::XferStatus xst =
-      co_await transfer_retry(node_of(rank_), node_of(dst),
-                              bytes + SimWorld::kHeaderBytes);
-  if (xst != fabric::XferStatus::kOk) {
-    // Never landed: the handler does not run.
-    world_->count_drop();
-    co_return from_xfer(xst);
-  }
-  SimComm& peer = world_->comm(static_cast<std::size_t>(dst));
-  POLARIS_CHECK_MSG(handler < peer.am_handlers_.size(),
-                    "unknown active-message handler at destination");
-  // Handler runs on the destination CPU.
-  co_await des::delay(eng, des::from_seconds(p.o_recv));
-  ++peer.am_dispatched_;
-  peer.am_handlers_[handler](rank_, bytes);
-  co_return SimStatus::kOk;
-}
-
 des::Task<void> SimComm::compute(double flops, double mem_bytes) {
   const double t = world_->node().kernel_time(flops, mem_bytes);
   obs::ScopedSpan span(tracer_, track_, ids_->compute, ids_->cat_cpu);
@@ -810,22 +704,6 @@ des::Task<SimStatus> SimComm::allreduce(std::uint64_t bytes) {
       1);
 }
 
-des::Task<SimStatus> SimComm::allgather(std::uint64_t block_bytes) {
-  obs::ScopedSpan span(tracer_, track_, ids_->allgather, ids_->cat_coll);
-  co_return co_await run_schedule(
-      world_->collective_schedule(coll::Collective::kAllgather, block_bytes,
-                                  0),
-      1);
-}
-
-des::Task<SimStatus> SimComm::alltoall(std::uint64_t block_bytes) {
-  obs::ScopedSpan span(tracer_, track_, ids_->alltoall, ids_->cat_coll);
-  co_return co_await run_schedule(
-      world_->collective_schedule(coll::Collective::kAlltoall, block_bytes,
-                                  0),
-      1);
-}
-
 // ------------------------------------------------------------------ SimWorld
 
 SimWorld::SimWorld(std::size_t ranks, fabric::FabricParams fabric_params,
@@ -865,7 +743,6 @@ std::uint32_t SimWorld::acquire_inflight() {
   f.refs = 2;  // the sender's protocol chain + the receiving recv
   f.status = SimStatus::kOk;
   f.retries_used = 0;
-  f.deferrals = 0;
   f.dropped = false;
   f.sync_timeout = des::EventId{};
   max_inflight_in_use_ = std::max(max_inflight_in_use_, inflight_in_use());
@@ -936,15 +813,10 @@ void TraceIds::intern_all(obs::Tracer& tracer) {
   reg_hit = tracer.intern("reg-hit");
   wait = tracer.intern("wait");
   wait_all = tracer.intern("wait_all");
-  put = tracer.intern("put");
-  get = tracer.intern("get");
-  am_send = tracer.intern("am_send");
   compute = tracer.intern("compute");
   barrier = tracer.intern("barrier");
   broadcast = tracer.intern("broadcast");
   allreduce = tracer.intern("allreduce");
-  allgather = tracer.intern("allgather");
-  alltoall = tracer.intern("alltoall");
 
   cat_eager = tracer.intern("eager");
   cat_rendezvous = tracer.intern("rendezvous");
@@ -953,7 +825,6 @@ void TraceIds::intern_all(obs::Tracer& tracer) {
   cat_fault = tracer.intern("fault");
   cat_p2p = tracer.intern("p2p");
   cat_reg = tracer.intern("reg");
-  cat_am = tracer.intern("am");
   cat_cpu = tracer.intern("cpu");
   cat_coll = tracer.intern("coll");
 
@@ -977,12 +848,6 @@ void SimWorld::enable_faults(fault::Injector& injector, RetryPolicy policy) {
   injector_ = &injector;
   retry_policy_ = policy;
   network_->enable_faults();
-}
-
-void SimWorld::set_admission(AdmissionControl admission) {
-  POLARIS_CHECK(admission.backoff > 0.0 && admission.backoff_factor >= 1.0);
-  admission_ = admission;
-  eager_dest_load_.assign(admission_enabled() ? comms_.size() : 0, 0);
 }
 
 void SimWorld::attach_metrics(obs::MetricsRegistry& metrics) {
@@ -1066,10 +931,6 @@ double SimWorld::run() {
     }
     metrics_->gauge("simrt.eager_sends").set(static_cast<double>(eager));
     metrics_->gauge("simrt.rendezvous_sends").set(static_cast<double>(rdv));
-    if (admission_enabled()) {
-      metrics_->gauge("simrt.eager_deferrals")
-          .set(static_cast<double>(eager_deferrals_));
-    }
     metrics_->gauge("msg.reg_cache.hits").set(static_cast<double>(reg_hits));
     metrics_->gauge("msg.reg_cache.misses").set(
         static_cast<double>(reg_misses));

@@ -4,16 +4,6 @@
 
 namespace polaris::support {
 
-const char* to_string(ArrivalSpec::Kind kind) {
-  switch (kind) {
-    case ArrivalSpec::Kind::kPoisson:
-      return "poisson";
-    case ArrivalSpec::Kind::kBursty:
-      return "bursty";
-  }
-  return "?";
-}
-
 ArrivalProcess::ArrivalProcess(ArrivalSpec spec, std::uint64_t seed)
     : spec_(spec), rng_(seed) {
   POLARIS_CHECK(spec_.rate > 0.0);

@@ -61,8 +61,6 @@ struct ArrivalSpec {
   }
 };
 
-const char* to_string(ArrivalSpec::Kind kind);
-
 class ArrivalProcess {
  public:
   ArrivalProcess(ArrivalSpec spec, std::uint64_t seed);

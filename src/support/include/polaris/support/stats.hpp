@@ -17,9 +17,6 @@ class Summary {
 
   std::size_t count() const { return samples_.size(); }
   double mean() const;
-  double stddev() const;
-  double min() const;
-  double max() const;
   double sum() const;
 
   /// Linear-interpolated percentile, p in [0, 100].

@@ -1,4 +1,4 @@
-// Aligned ASCII tables and CSV emission for benchmark/experiment output.
+// Aligned ASCII tables for benchmark/experiment output.
 //
 // Every bench binary prints its figure/table through this so that
 // EXPERIMENTS.md rows and regenerated output share one format.
@@ -11,7 +11,7 @@
 
 namespace polaris::support {
 
-/// Column-aligned ASCII table with an optional title and CSV export.
+/// Column-aligned ASCII table with an optional title.
 ///
 ///   Table t("F2: ping-pong latency");
 ///   t.header({"bytes", "fabric", "latency"});
@@ -47,9 +47,6 @@ class Table {
 
   /// Pretty-prints with column alignment.
   void print(std::ostream& os) const;
-
-  /// Comma-separated form (quotes cells containing commas).
-  void print_csv(std::ostream& os) const;
 
   static std::string to_cell(const std::string& s) { return s; }
   static std::string to_cell(const char* s) { return s; }

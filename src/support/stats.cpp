@@ -1,7 +1,6 @@
 #include "polaris/support/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "polaris/support/check.hpp"
 
@@ -28,24 +27,6 @@ double Summary::sum() const {
   double s = 0.0;
   for (double x : samples_) s += x;
   return s;
-}
-
-double Summary::stddev() const {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double s = 0.0;
-  for (double x : samples_) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(samples_.size() - 1));
-}
-
-double Summary::min() const {
-  ensure_sorted();
-  return samples_.empty() ? 0.0 : samples_.front();
-}
-
-double Summary::max() const {
-  ensure_sorted();
-  return samples_.empty() ? 0.0 : samples_.back();
 }
 
 double Summary::percentile(double p) const {

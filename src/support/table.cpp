@@ -43,27 +43,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& r : rows_) emit(r);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const std::string& s = cells[i];
-      const bool quote = s.find_first_of(",\"\n") != std::string::npos;
-      if (quote) {
-        os << '"';
-        for (char c : s) {
-          if (c == '"') os << '"';
-          os << c;
-        }
-        os << '"';
-      } else {
-        os << s;
-      }
-      if (i + 1 < cells.size()) os << ',';
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
-}
-
 }  // namespace polaris::support

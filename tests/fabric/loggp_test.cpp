@@ -22,18 +22,6 @@ TEST(LogGP, KernelPathInflatesG) {
   EXPECT_DOUBLE_EQ(ib.G, 1.0 / fabrics::infiniband_4x().link_bw);
 }
 
-TEST(LogGP, OneWayPredictionShape) {
-  LogGPParams lg;
-  lg.L = 5e-6;
-  lg.o_s = 1e-6;
-  lg.o_r = 1e-6;
-  lg.g = 2e-6;
-  lg.G = 1e-9;
-  EXPECT_DOUBLE_EQ(lg.one_way(1), 7e-6);
-  EXPECT_DOUBLE_EQ(lg.one_way(0), 7e-6);
-  EXPECT_NEAR(lg.one_way(1000001), 7e-6 + 1e-3, 1e-12);
-}
-
 TEST(LogGP, MessageRateBottleneckedByMaxOfGapAndOverhead) {
   LogGPParams lg;
   lg.o_s = 2e-6;

@@ -57,21 +57,12 @@ TEST(Partition, LookaheadComesFromTheMinCutPath) {
   EXPECT_LT(flat.lookahead_s, torus.lookahead_s);
 }
 
-TEST(Partition, TopologyOverloadMatchesTheRawForm) {
-  const auto params = fabrics::infiniband_4x();
-  const Torus2D topo(8, 8);
-  const auto a = make_block_partition(topo, params, 4);
-  const auto b = make_block_partition(64, {8, 8}, params, 4);
-  EXPECT_EQ(a.first_node, b.first_node);
-  EXPECT_EQ(a.cut_host_pairs, b.cut_host_pairs);
-  EXPECT_DOUBLE_EQ(a.lookahead_s, b.lookahead_s);
-}
-
 TEST(Partition, MinCutHopsIsASoundBoundOnTheRealTorus) {
   // Every cross-shard pair of a real torus must pay at least the claimed
   // min-cut switch hops — that bound is what makes the lookahead safe.
   const Torus2D topo(8, 8);
-  const auto p = make_block_partition(topo, fabrics::myrinet2000(), 4);
+  const auto p = make_block_partition(topo.node_count(), topo.dims(),
+                                      fabrics::myrinet2000(), 4);
   std::size_t observed_min = ~std::size_t{0};
   for (NodeId a = 0; a < 64; ++a) {
     for (NodeId b = 0; b < 64; ++b) {

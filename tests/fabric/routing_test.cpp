@@ -50,21 +50,14 @@ TEST(RouteChoices, TorusWidthCountsMovingDimensions) {
   EXPECT_EQ(t2.route_choices(0, 1), 1u);   // x only
   EXPECT_EQ(t2.route_choices(0, 4), 1u);   // y only
   EXPECT_EQ(t2.route_choices(0, 5), 2u);   // both: XY and YX
-
-  const Torus3D t3(3, 3, 3);
-  EXPECT_EQ(t3.route_choices(0, 1), 1u);        // 1 moving dim: 1! = 1
-  EXPECT_EQ(t3.route_choices(0, 4), 2u);        // x+y move: 2! = 2
-  EXPECT_EQ(t3.route_choices(0, 13), 6u);       // all three move: 3! = 6
 }
 
 TEST(RouteK, ChoiceZeroIsTheObliviousRouteObject) {
   const FatTree ft(4);
   const Torus2D t2(4, 4);
-  const Torus3D t3(3, 3, 3);
   // Same cached vector, by address — not merely an equal copy.
   EXPECT_EQ(&ft.route_k(0, 4, 0), &ft.route(0, 4));
   EXPECT_EQ(&t2.route_k(0, 5, 0), &t2.route(0, 5));
-  EXPECT_EQ(&t3.route_k(0, 13, 0), &t3.route(0, 13));
 }
 
 TEST(RouteK, AlternateReferencesAreStable) {
@@ -110,11 +103,6 @@ TEST(RouteK, TorusAlternatesAreMinimalAndDistinct) {
   expect_minimal_distinct(t2, 0, 5);
   expect_minimal_distinct(t2, 3, 12);
   expect_minimal_distinct(t2, 1, 14);
-
-  const Torus3D t3(3, 4, 2);
-  expect_minimal_distinct(t3, 0, 13);   // multiple moving dims
-  expect_minimal_distinct(t3, 0, 23);   // all dims move
-  expect_minimal_distinct(t3, 5, 18);
 }
 
 TEST(RouteK, CrossPodAlternatesSpreadOverBothUplinks) {

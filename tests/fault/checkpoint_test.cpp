@@ -1,4 +1,5 @@
 #include "polaris/fault/checkpoint.hpp"
+#include "polaris/fault/young.hpp"
 
 #include <gtest/gtest.h>
 

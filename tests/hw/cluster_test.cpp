@@ -94,30 +94,5 @@ TEST_F(ClusterDesignerTest, RejectsBudgetBelowOneNode) {
       support::ContractViolation);
 }
 
-TEST_F(ClusterDesignerTest, TcoAddsEnergyOnTopOfPurchase) {
-  const auto c = designer_.fixed_size(NodeArch::kConventional, 2002.0, 100);
-  EXPECT_DOUBLE_EQ(c.tco_usd(0.0), c.cost_usd());
-  const double three_year = c.tco_usd(3.0);
-  EXPECT_GT(three_year, c.cost_usd());
-  // 26 kW * 1.8 PUE * 3y at $0.08/kWh ~ $98k on a $265k machine.
-  EXPECT_NEAR(three_year - c.cost_usd(),
-              26.0 * 1.8 * 24 * 365.25 * 3 * 0.08, 1000.0);
-}
-
-TEST_F(ClusterDesignerTest, BladeTcoAdvantageGrowsWithHorizon) {
-  // Blades cost more flops-for-flops up front in peak terms but their
-  // power draw wins on long horizons.
-  const auto conv = designer_.fixed_size(NodeArch::kConventional, 2002.0, 256);
-  const auto blade = designer_.fixed_size(NodeArch::kBlade, 2002.0, 256);
-  const double r0 = blade.tco_usd(0.0) / conv.tco_usd(0.0);
-  const double r5 = blade.tco_usd(5.0) / conv.tco_usd(5.0);
-  EXPECT_LT(r5, r0);
-}
-
-TEST_F(ClusterDesignerTest, TcoRejectsBadPue) {
-  const auto c = designer_.fixed_size(NodeArch::kConventional, 2002.0, 10);
-  EXPECT_THROW((void)c.tco_usd(3.0, 0.08, 0.5), support::ContractViolation);
-}
-
 }  // namespace
 }  // namespace polaris::hw

@@ -1,6 +1,6 @@
 // End-to-end fault injection through the fast data path.
 //
-// Three properties pin the tentpole down:
+// Four properties pin the tentpole down:
 //   1. A SimWorld with the fault machinery ARMED but no fault scheduled is
 //      bit-identical to the seed golden run (final time + exported trace).
 //      Arming only adds timers that are always cancelled before firing, and
@@ -9,7 +9,9 @@
 //      survivors: a rendezvous send to the dead rank fails after exactly
 //      max_retries backoffs, and a posted receive from it times out with
 //      kPeerDown instead of hanging the simulation.
-//   3. FailureTimeline::until() and ::next() describe the same stream.
+//   3. A rendezvous the sender abandoned while the receiver was down fails
+//      the receive that matches it later, instead of hanging it.
+//   4. FailureTimeline::until() and ::next() describe the same stream.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -157,6 +159,43 @@ TEST(FaultRecovery, RecoveredPeerCompletesAfterRetries) {
   EXPECT_GE(world.msg_retries(), 1u);
   EXPECT_EQ(world.msg_drops(), 0u);
   EXPECT_TRUE(injector.node_up(1));
+}
+
+TEST(FaultRecovery, LateReceiveOfAbandonedRendezvousFails) {
+  // The RTS lands just before node 1 crashes; the sender's match wait
+  // then times out against a dead peer and gives up.  The envelope waits
+  // in rank 1's matcher, and rank 1's program keeps running through the
+  // outage: its receive after the repair takes the envelope at once, so
+  // no receive timeout is armed.  It must return the failure, not wait
+  // for a payload that will never come.
+  simrt::SimWorld world(4, fabric::fabrics::myrinet2000());
+  fault::Injector injector(world.engine(), world.network());
+  simrt::RetryPolicy policy;
+  policy.max_retries = 3;
+  policy.backoff = 0.01;
+  policy.backoff_factor = 2.0;
+  policy.recv_timeout = 0.05;
+  world.enable_faults(injector, policy);
+  injector.schedule_node_crash(/*at=*/0.001, /*node=*/1,
+                               /*repair_after=*/0.2);
+
+  simrt::SimStatus send_status = simrt::SimStatus::kOk;
+  simrt::SimRecvStatus recv_status;
+  world.launch([&](simrt::SimComm& c) -> des::Task<void> {
+    if (c.rank() == 0) {
+      send_status = co_await c.send(1, /*tag=*/7, 1 << 20);
+    } else if (c.rank() == 1) {
+      co_await c.sleep(0.3);
+      recv_status = co_await c.recv(0, /*tag=*/7);
+    }
+    co_return;
+  });
+  world.run();
+
+  EXPECT_EQ(send_status, simrt::SimStatus::kPeerDown);
+  EXPECT_EQ(recv_status.status, simrt::SimStatus::kPeerDown);
+  EXPECT_EQ(world.ranks_finished(), world.ranks_launched());
+  EXPECT_EQ(world.inflight_in_use(), 0u);
 }
 
 TEST(FaultTimeline, UntilAndNextDescribeTheSameStream) {

@@ -114,11 +114,5 @@ TEST(Crossover, DefaultThresholdsNearCrossover) {
   }
 }
 
-TEST(ProtocolNames, AllNamed) {
-  EXPECT_STREQ(to_string(Protocol::kEager), "eager");
-  EXPECT_STREQ(to_string(Protocol::kRendezvous), "rendezvous");
-  EXPECT_STREQ(to_string(Protocol::kRdma), "rdma");
-}
-
 }  // namespace
 }  // namespace polaris::msg

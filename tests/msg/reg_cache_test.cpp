@@ -66,26 +66,9 @@ TEST(RegCache, LruEvictionUnderCapacity) {
   EXPECT_LE(c.pinned_bytes(), 4 * kPage);
 }
 
-TEST(RegCache, InvalidateDropsRegistration) {
-  RegistrationCache c(1 << 20, 10e-6, 1e-6);
-  c.acquire(0x40000, 4 * kPage);
-  c.invalidate(0x40000 + kPage, 1);  // any overlap kills the region
-  EXPECT_FALSE(c.contains(0x40000, kPage));
-  EXPECT_EQ(c.pinned_bytes(), 0u);
-  EXPECT_EQ(c.stats().invalidations, 1u);
-}
-
-TEST(RegCache, InvalidateNonOverlappingIsNoop) {
-  RegistrationCache c(1 << 20, 10e-6, 1e-6);
-  c.acquire(0x40000, kPage);
-  c.invalidate(0x80000, kPage);
-  EXPECT_TRUE(c.contains(0x40000, kPage));
-}
-
 TEST(RegCache, ZeroLengthQueries) {
   RegistrationCache c(1 << 20, 10e-6, 1e-6);
   EXPECT_FALSE(c.contains(0x1000, 0));
-  c.invalidate(0x1000, 0);  // no-op, no crash
   EXPECT_THROW((void)c.acquire(0x1000, 0), support::ContractViolation);
 }
 

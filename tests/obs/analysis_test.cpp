@@ -90,11 +90,6 @@ TEST(TraceAnalysis, ProcessFilterSelectsTracks) {
   EXPECT_DOUBLE_EQ(ranks.makespan_s, 100e-9);
   ASSERT_EQ(ranks.steps.size(), 1u);
   EXPECT_EQ(ranks.steps[0].name, "compute");
-
-  const auto totals = analysis.total_by_name("links");
-  ASSERT_EQ(totals.size(), 1u);
-  EXPECT_EQ(totals[0].name, "busy");
-  EXPECT_DOUBLE_EQ(totals[0].seconds, 500e-9);
 }
 
 TEST(TraceAnalysis, EmptyTraceIsBenign) {

@@ -172,8 +172,10 @@ TEST(SimTrace, LinkBusySpansSumToNetworkStats) {
   obs::SimClock clock(world.engine());
   obs::Tracer tracer(clock);
   world.attach_tracer(tracer);
-  world.launch([](SimComm& c) -> des::Task<void> {
-    co_await c.alltoall(64 * 1024);
+  world.launch([&world](SimComm& c) -> des::Task<void> {
+    co_await c.run_schedule(
+        world.collective_schedule(coll::Collective::kAlltoall, 64 * 1024, 0),
+        1);
   });
   world.run();
 

@@ -76,10 +76,6 @@ TEST(LinearOrderTest, Torus2DRunsAreBricks) {
   expect_brick_runs(fabric::Torus2D(8, 8));
 }
 
-TEST(LinearOrderTest, Torus3DRunsAreBricks) {
-  expect_brick_runs(fabric::Torus3D(4, 4, 4));
-}
-
 TEST(LinearOrderTest, RectangularTorusRunsAreBricks) {
   expect_brick_runs(fabric::Torus2D(16, 4));
 }

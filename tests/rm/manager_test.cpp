@@ -7,8 +7,7 @@
 // single-user trace shaped like the F7 experiment's.  Around it: EASY
 // backfill strictly helps mean wait and never loses a job, conservative
 // backfill completes everything, priority preemption restarts victims
-// with the waste accounted, reservations hold their window, fair share
-// reorders equal-priority users, topology placement stays contiguous, the
+// with the waste accounted, fair share reorders equal-priority users, topology placement stays contiguous, the
 // summary's metric definitions hold, and the tracer renders a job Gantt.
 #include "polaris/rm/manager.hpp"
 
@@ -253,62 +252,6 @@ TEST(ResourceManagerTest, PreemptionRestartsVictimAndAccountsWaste) {
   const ResourceManager::Summary s = rm.summary();
   EXPECT_EQ(s.preemptions, 1u);
   EXPECT_EQ(s.completed, 2u);
-}
-
-TEST(ResourceManagerTest, TaggedJobRunsInsideReservationWindow) {
-  des::Engine engine;
-  ResourceManager rm(engine, 4, RmConfig::textbook(Policy::kEasyBackfill));
-  const ReservationId rid = rm.add_reservation(100.0, 200.0, 4);
-
-  JobSpec tagged;
-  tagged.id = 1;
-  tagged.submit = 0.0;
-  tagged.runtime = 50.0;
-  tagged.estimate = 50.0;
-  tagged.width = 4;
-  tagged.reservation = rid;
-  JobSpec filler;
-  filler.id = 2;
-  filler.submit = 0.0;
-  filler.runtime = 20.0;
-  filler.estimate = 20.0;
-  filler.width = 4;
-  rm.submit(tagged);
-  rm.submit(filler);
-  engine.run();
-
-  const JobRecord* t = rm.accounting().find(1);
-  const JobRecord* f = rm.accounting().find(2);
-  ASSERT_NE(t, nullptr);
-  ASSERT_NE(f, nullptr);
-  // The tagged job waits for its window even though the machine is idle.
-  EXPECT_EQ(ticks(t->start), ticks(100.0));
-  EXPECT_EQ(ticks(t->finish), ticks(150.0));
-  // The filler may only run once the reservation's demand is satisfied.
-  EXPECT_EQ(ticks(f->start), ticks(150.0));
-  EXPECT_EQ(rm.summary().completed, 2u);
-}
-
-TEST(ResourceManagerTest, ReservationBlocksOverlappingUntaggedJob) {
-  des::Engine engine;
-  ResourceManager rm(engine, 4, RmConfig::textbook(Policy::kFcfs));
-  rm.add_reservation(100.0, 200.0, 4);
-
-  JobSpec big;
-  big.id = 1;
-  big.submit = 0.0;
-  big.runtime = 1000.0;
-  big.estimate = 1000.0;
-  big.width = 4;
-  rm.submit(big);
-  engine.run();
-
-  const JobRecord* rec = rm.accounting().find(1);
-  ASSERT_NE(rec, nullptr);
-  // Its planned run would cross the window, so it waits out the whole
-  // reservation (nobody claimed the held nodes).
-  EXPECT_EQ(ticks(rec->start), ticks(200.0));
-  EXPECT_EQ(ticks(rec->finish), ticks(1200.0));
 }
 
 TEST(ResourceManagerTest, FairShareDeprioritizesHeavyUser) {

@@ -160,16 +160,15 @@ TEST(ShmWorld, IrecvTestEventuallyCompletes) {
 TEST(ShmWorld, ActiveMessagesDispatchAtDestination) {
   ShmWorld world(2);
   std::atomic<int> total{0};
-  msg::AmHandlerId id = 0;
-  for (int r = 0; r < 2; ++r) {
-    id = world.comm(r).register_am(
+  world.run([&](Communicator& c) {
+    // SPMD registration: every rank registers the same handler before its
+    // first progress call, so the ids agree and nothing dispatches early.
+    const msg::AmHandlerId id = c.register_am(
         [&total](int src, std::span<const std::byte> p) {
           int v;
           std::memcpy(&v, p.data(), sizeof(v));
           total += v + src;
         });
-  }
-  world.run([&](Communicator& c) {
     if (c.rank() == 0) {
       const int v = 100;
       c.am_send(1, id, {reinterpret_cast<const std::byte*>(&v), sizeof(v)});

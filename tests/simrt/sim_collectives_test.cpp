@@ -89,8 +89,10 @@ TEST(SimCollectives, ConvenienceCollectivesComplete) {
   world.launch([&](SimComm& c) -> des::Task<void> {
     co_await c.broadcast(4096, 0);
     co_await c.allreduce(8 * 1024);
-    co_await c.allgather(1024);
-    co_await c.alltoall(512);
+    co_await c.run_schedule(
+        world.collective_schedule(coll::Collective::kAllgather, 1024, 0), 1);
+    co_await c.run_schedule(
+        world.collective_schedule(coll::Collective::kAlltoall, 512, 0), 1);
     ++done;
   });
   world.run();

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 #include "polaris/support/check.hpp"
 
@@ -12,8 +11,6 @@ namespace {
 TEST(Summary, PercentilesOfKnownData) {
   Summary s;
   for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
   EXPECT_NEAR(s.median(), 50.5, 1e-12);
   EXPECT_NEAR(s.percentile(0), 1.0, 1e-12);
   EXPECT_NEAR(s.percentile(100), 100.0, 1e-12);
@@ -28,11 +25,10 @@ TEST(Summary, SingleSampleAllPercentilesEqual) {
   EXPECT_EQ(s.percentile(100), 42.0);
 }
 
-TEST(Summary, MeanAndStddev) {
+TEST(Summary, MeanOfSamples) {
   Summary s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
 }
 
 TEST(Summary, PercentileRejectsOutOfRange) {
@@ -49,7 +45,7 @@ TEST(Summary, AddAfterPercentileResorts) {
   EXPECT_DOUBLE_EQ(s.median(), 15.0);
   s.add(0.0);
   EXPECT_DOUBLE_EQ(s.median(), 10.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.0);
+  EXPECT_DOUBLE_EQ(s.percentile(0), 0.0);
 }
 
 }  // namespace

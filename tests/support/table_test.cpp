@@ -33,15 +33,6 @@ TEST(Table, HeterogeneousAdd) {
   EXPECT_EQ(t.cell(0, 4), "100");
 }
 
-TEST(Table, CsvQuotesSpecialCells) {
-  Table t;
-  t.header({"a", "b"});
-  t.row({"x,y", "say \"hi\""});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n\"x,y\",\"say \"\"hi\"\"\"\n");
-}
-
 TEST(Table, RaggedRowsPrintWithoutCrash) {
   Table t;
   t.header({"a", "b", "c"});

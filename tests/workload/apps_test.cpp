@@ -164,18 +164,6 @@ TEST(Halo3D, CompletesAndWeakScales) {
   EXPECT_LT(r27.elapsed, 1.6 * r8.elapsed);
 }
 
-TEST(Halo3D, MapsOntoTorus3D) {
-  workload::Halo3DConfig cfg;
-  cfg.iterations = 3;
-  AppResult res;
-  simrt::SimWorld w(27, infiniband_4x(),
-                    std::make_unique<fabric::Torus3D>(3, 3, 3));
-  w.launch(make_halo3d(cfg, 27, &res));
-  w.run();
-  EXPECT_GT(res.elapsed, 0.0);
-  EXPECT_LE(res.comm_fraction, 1.0);
-}
-
 TEST(Incast, DownlinkSerializesTheFanIn) {
   // N-to-1: rank 0's downlink is the bottleneck, so time scales ~linearly
   // with sender count.

@@ -6,7 +6,7 @@
 //   1. Decision cost: the same saturating multi-user trace at growing job
 //      counts (100x apart) through the EASY-backfill manager.  Amortized
 //      wall-clock per job must stay flat — the rate-limited backfill and
-//      O(1) tier queues are what keep a 10^6-job backlog from going
+//      the O(1) queue are what keep a 10^6-job backlog from going
 //      quadratic.  `decision.flatness_ratio` is max/min us-per-job across
 //      the sizes; CI asserts it stays under 2.
 //   2. Placement quality: a 64-rank halo2d stencil on a 16x16 torus,
@@ -190,6 +190,7 @@ int main() {
                        "resource manager: amortized decision cost, "
                        "topology-aware placement quality, crash-determinism");
   report.note("budget_ms", std::to_string(budget_ms));
+  report.note_provenance();
 
   // --- 1. decision cost ------------------------------------------------
   // 100x between the smallest and largest size; a tight budget shrinks

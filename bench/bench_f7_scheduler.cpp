@@ -3,9 +3,9 @@
 // A 10k-job Feitelson-style synthetic trace replayed through
 // rm::ResourceManager under each policy on 128-1024 node machines, plus a
 // load sweep showing where backfilling's advantage opens up.  The manager
-// runs its textbook configuration (flat placement, one tier, a backfill
-// cycle on every event over the whole queue), the form the textbook
-// policies are defined in.
+// runs its textbook configuration (flat placement, a backfill cycle on
+// every event over the whole queue), the form the textbook policies are
+// defined in.
 //
 // Every (machine size, policy) replay is independent — trace generation is
 // seeded per point — so the grid fans out across a SweepRunner thread

@@ -4,19 +4,32 @@
 //   run_scenario rolling-upgrade-drain
 //   run_scenario path/to/spec.json    # any file with a '/' or '.json'
 //   run_scenario crash-mid-ring trace.json   # also dump the obs trace
+//
+// Exit status: 0 the verdict passed, 1 it failed, 2 usage error, unknown
+// scenario name, or a spec that cannot be read, parsed or built.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "polaris/scenario/library.hpp"
 #include "polaris/scenario/scenario.hpp"
+#include "polaris/support/check.hpp"
 
 namespace {
 
 bool looks_like_path(const std::string& arg) {
   return arg.find('/') != std::string::npos ||
          (arg.size() > 5 && arg.compare(arg.size() - 5, 5, ".json") == 0);
+}
+
+void print_builtin(std::FILE* out) {
+  std::fprintf(out, "built-in scenarios:\n");
+  for (const std::string& name : polaris::scenario::library_names()) {
+    std::fprintf(out, "  %s\n", name.c_str());
+  }
 }
 
 }  // namespace
@@ -27,10 +40,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::printf("usage: %s <scenario-name | spec.json> [trace-out.json]\n",
                 argv[0]);
-    std::printf("built-in scenarios:\n");
-    for (const std::string& name : scenario::library_names()) {
-      std::printf("  %s\n", name.c_str());
-    }
+    print_builtin(stdout);
     return 2;
   }
 
@@ -46,17 +56,31 @@ int main(int argc, char** argv) {
     buf << in.rdbuf();
     spec = buf.str();
   } else {
+    const std::vector<std::string> names = scenario::library_names();
+    if (std::find(names.begin(), names.end(), arg) == names.end()) {
+      std::fprintf(stderr, "unknown scenario: %s\n", arg.c_str());
+      print_builtin(stderr);
+      return 2;
+    }
     spec = std::string(scenario::library_spec(arg));
   }
 
-  scenario::Runner runner = scenario::Runner::from_text(spec);
-  const scenario::Verdict v = runner.run();
-  std::printf("%s\n", v.to_json().c_str());
+  // A spec is outside input: one that fails to parse, to build, or to
+  // name real probes and actions is reported, not a crash.
+  try {
+    scenario::Runner runner = scenario::Runner::from_text(spec);
+    const scenario::Verdict v = runner.run();
+    std::printf("%s\n", v.to_json().c_str());
 
-  if (argc > 2) {
-    std::ofstream out(argv[2]);
-    runner.tracer().write_json(out);
-    std::fprintf(stderr, "trace written to %s\n", argv[2]);
+    if (argc > 2) {
+      std::ofstream out(argv[2]);
+      runner.tracer().write_json(out);
+      std::fprintf(stderr, "trace written to %s\n", argv[2]);
+    }
+    return v.passed ? 0 : 1;
+  } catch (const support::ContractViolation& e) {
+    std::fprintf(stderr, "invalid scenario spec %s: %s\n", arg.c_str(),
+                 e.what());
+    return 2;
   }
-  return v.passed ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "polaris/rm/accounting.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 
@@ -36,7 +35,6 @@ void AccountingStore::on_submit(const JobSpec& spec) {
   r.user = spec.user;
   r.account = spec.account;
   r.width = spec.width;
-  r.priority = spec.priority;
   r.submit = spec.submit;
   records_.push_back(r);
 }
@@ -51,8 +49,6 @@ void AccountingStore::on_requeue(JobId id, double at, double saved) {
   JobRecord* r = record_for(id);
   POLARIS_CHECK(r->state == JobState::kRunning && r->start >= 0.0);
   r->wasted_node_seconds += (at - r->start - saved) * r->width;
-  // The aborted run still consumed the machine: charge all of it.
-  charge(r->user, (at - r->start) * r->width, at);
   r->start = -1.0;
   r->state = JobState::kPending;
   ++r->requeues;
@@ -63,50 +59,6 @@ void AccountingStore::on_complete(JobId id, double at) {
   POLARIS_CHECK(r->state == JobState::kRunning && r->start >= 0.0);
   r->finish = at;
   r->state = JobState::kCompleted;
-  charge(r->user, (at - r->start) * r->width, at);
-}
-
-void AccountingStore::set_user_shares(UserId user, double shares) {
-  POLARIS_CHECK(shares > 0.0);
-  users_[user].shares = shares;
-}
-
-double AccountingStore::decayed(const Usage& u, double now, double halflife) {
-  if (u.usage == 0.0 || now <= u.last_decay) return u.usage;
-  return u.usage * std::exp2(-(now - u.last_decay) / halflife);
-}
-
-void AccountingStore::charge(UserId user, double node_seconds,
-                             double now) {
-  if (node_seconds <= 0.0) return;
-  Usage& u = users_[user];
-  u.usage = decayed(u, now, cfg_.fairshare_halflife) + node_seconds;
-  u.last_decay = now;
-  total_usage_ =
-      decayed({total_usage_, total_last_decay_, 1.0}, now,
-              cfg_.fairshare_halflife) +
-      node_seconds;
-  total_last_decay_ = now;
-}
-
-double AccountingStore::mean_usage(double now) const {
-  const std::size_t n = std::max<std::size_t>(users_.size(), 1);
-  return decayed({total_usage_, total_last_decay_, 1.0}, now,
-                 cfg_.fairshare_halflife) /
-         static_cast<double>(n);
-}
-
-double AccountingStore::user_usage(UserId user, double now) const {
-  const Usage* u = users_.find(user);
-  return u ? decayed(*u, now, cfg_.fairshare_halflife) : 0.0;
-}
-
-double AccountingStore::user_factor(UserId user, double now) const {
-  const Usage* u = users_.find(user);
-  if (!u) return 1.0;
-  const double usage = decayed(*u, now, cfg_.fairshare_halflife);
-  const double fair = u->shares * std::max(mean_usage(now), 1e-9);
-  return std::exp2(-usage / fair);
 }
 
 std::vector<JobRecord> AccountingStore::query(const Query& q) const {
@@ -150,7 +102,7 @@ void AccountingStore::dump(std::ostream& os) const {
   os.precision(12);
   for (const JobRecord* r : sorted) {
     os << r->id << ' ' << r->user << ' ' << r->account << ' ' << r->width
-       << ' ' << r->priority << ' ' << r->submit << ' ' << r->start << ' '
+       << ' ' << r->submit << ' ' << r->start << ' '
        << r->finish << ' ' << r->requeues << ' ' << r->wasted_node_seconds
        << ' ' << to_string(r->state) << '\n';
   }

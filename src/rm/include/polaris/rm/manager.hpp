@@ -9,11 +9,9 @@
 //  - Placement: jobs receive contiguous blocks of the real fabric from a
 //    buddy BlockAllocator over a locality-preserving linearization
 //    (sub-bricks of a torus, subtree runs of a fat tree).
-//  - Queueing: up to 64 priority tiers, each an intrusive FIFO over the
-//    job slab, with a tier-occupancy bitmask — push, pop and
-//    highest-nonempty are O(1).  Fair share (decayed per-user usage from
-//    the AccountingStore) maps into sub-tiers below the base priority.
-//    Under SJF each tier is kept in estimate order instead (O(tier) insert).
+//  - Queueing: one intrusive FIFO over the job slab — push, pop and head
+//    are O(1).  Under SJF it is kept in estimate order instead (O(queue)
+//    insert).
 //  - Starting: an O(1)-per-job quick-start pass pops queue heads while
 //    they fit; a *rate-limited* backfill cycle (EASY shadow from the
 //    incrementally-maintained PlanningTimeline, conservative with a
@@ -22,20 +20,17 @@
 //    decision cost flat at 10^6 queued jobs: dirty events within
 //    `backfill_interval` of the last cycle coalesce into one deferred timer
 //    instead of each rescanning the queue.
-//  - Preemption: a high-tier head job may evict lower-tier preemptible
-//    running jobs (the victim keeps its checkpointed work, the rest is
-//    accounted as wasted node-seconds, and it requeues at the front of
-//    its tier).
 //  - Faults: as a fault::FaultListener, a node crash kills the owning
-//    job (requeue, front of tier), drains the node, and triggers
-//    replacement allocation; repair undrains and wakes the queue.
+//    job (it keeps its checkpointed work, the rest is accounted as wasted
+//    node-seconds, and it requeues at the front of the queue), drains the
+//    node, and triggers replacement allocation; repair undrains and wakes
+//    the queue.
 //
-// With RmConfig::textbook(policy) (one tier, flat order, a backfill cycle
-// on every event over the whole queue) the manager reproduces the analytic
+// With RmConfig::textbook(policy) (flat placement, a backfill cycle on
+// every event over the whole queue) the manager reproduces the analytic
 // reference scheduler in tests/rm job-for-job under all four policies.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -67,27 +62,15 @@ struct RmConfig {
   /// coalesce into one deferred cycle (SLURM bf_interval).
   double backfill_interval = 30.0;
 
-  bool preemption = false;
-  /// A head job preempts only victims at least this many tiers below it.
-  std::uint32_t preempt_gap = 1;
-
-  bool fair_share = false;
-  /// Base-priority tiers (spec.priority clamped to [0, priority_tiers)).
-  std::uint32_t priority_tiers = 8;
-  /// Fair-share sub-tiers per priority tier (1 disables the split).
-  std::uint32_t fairshare_tiers = 4;
-  double fairshare_halflife = 7 * 24 * 3600.0;
-
-  /// The textbook scheduler: flat placement, one tier, and no rate limit
-  /// or depth bound on backfill, so every event reconsiders the whole
-  /// queue under `policy`.
+  /// The textbook scheduler: flat placement and no rate limit or depth
+  /// bound on backfill, so every event reconsiders the whole queue under
+  /// `policy`.
   static RmConfig textbook(Policy policy) {
     RmConfig c;
     c.placement = Placement::kFlat;
     c.policy = policy;
     c.backfill_depth = std::numeric_limits<std::uint32_t>::max();
     c.backfill_interval = 0.0;
-    c.priority_tiers = 1;
     return c;
   }
 };
@@ -133,7 +116,6 @@ class ResourceManager final : public fault::FaultListener {
     std::uint64_t jobs = 0;
     std::uint64_t completed = 0;
     std::uint64_t backfilled = 0;
-    std::uint64_t preemptions = 0;
     std::uint64_t requeues = 0;
     std::uint64_t fragmented_allocs = 0;
     double makespan = 0.0;  ///< first submission to last finish
@@ -156,8 +138,7 @@ class ResourceManager final : public fault::FaultListener {
     JobSpec spec;
     JobState state = JobState::kPending;
     std::uint32_t slot = 0;  ///< index in jobs_ (stable: deque slab)
-    std::uint32_t tier = 0;
-    std::uint32_t prev = kNilIndex;  ///< intrusive tier-FIFO links
+    std::uint32_t prev = kNilIndex;  ///< intrusive queue links
     std::uint32_t next = kNilIndex;
     bool queued = false;
     double start = -1.0;
@@ -167,8 +148,6 @@ class ResourceManager final : public fault::FaultListener {
     Allocation alloc;
     ResourceManager* rm = nullptr;  ///< raw-callback context backpointer
   };
-
-  static constexpr std::uint32_t kMaxTiers = 64;
 
   static void arrival_cb(void* ctx);
   static void completion_cb(void* ctx);
@@ -185,7 +164,6 @@ class ResourceManager final : public fault::FaultListener {
     return (spec.estimate > 0.0 ? spec.estimate : spec.runtime) *
            stretch(spec);
   }
-  std::uint32_t compute_tier(const JobSpec& spec) const;
 
   void enqueue(RmJob& job, bool front);
   void dequeue(RmJob& job);
@@ -193,13 +171,12 @@ class ResourceManager final : public fault::FaultListener {
 
   void start_job(RmJob& job, bool via_backfill);
   void finish_job(RmJob& job);
-  void requeue_job(RmJob& job, bool preempted);
+  void requeue_job(RmJob& job);
 
   void run_queue();
   void quick_start();
   void maybe_backfill();
   void backfill_cycle();
-  void try_preempt_for(RmJob& head);
 
   void update_gauges();
 
@@ -211,9 +188,8 @@ class ResourceManager final : public fault::FaultListener {
 
   std::deque<RmJob> jobs_;
   support::FlatMap64<std::uint32_t> job_index_;  ///< JobId -> slot
-  std::array<std::uint32_t, kMaxTiers> head_;
-  std::array<std::uint32_t, kMaxTiers> tail_;
-  std::uint64_t queue_mask_ = 0;
+  std::uint32_t head_ = kNilIndex;  ///< queue ends (slots)
+  std::uint32_t tail_ = kNilIndex;
   std::size_t pending_count_ = 0;
   std::size_t running_count_ = 0;
 
@@ -227,7 +203,6 @@ class ResourceManager final : public fault::FaultListener {
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t backfilled_ = 0;
-  std::uint64_t preemptions_ = 0;
   std::uint64_t requeues_ = 0;
   std::uint64_t decision_passes_ = 0;
   std::uint64_t backfill_cycles_ = 0;
@@ -238,7 +213,6 @@ class ResourceManager final : public fault::FaultListener {
   obs::Gauge* g_nodes_drained_ = nullptr;
   obs::Counter* c_started_ = nullptr;
   obs::Counter* c_backfilled_ = nullptr;
-  obs::Counter* c_preemptions_ = nullptr;
   obs::Counter* c_requeues_ = nullptr;
   obs::LogHistogram* h_wait_ = nullptr;  ///< queue wait, microseconds
   obs::Tracer* tracer_ = nullptr;

@@ -1,20 +1,20 @@
 // Core types of the polaris::rm resource manager.
 //
-// A JobSpec is what a user submits: width, wall-time request, identity
-// (user/account) and a base priority.  The manager turns it into a live
-// job with a state machine:
+// A JobSpec is what a user submits: width, wall-time request and identity
+// (user/account).  The manager turns it into a live job with a state
+// machine:
 //
 //   kPending --start--> kRunning --finish--> kCompleted
-//      ^                   |  |
-//      |<---- preempt -----+  +---- node crash ----> requeued (kPending,
-//      |                                             requeues+1)
-//      +<--------------------------------------------+
+//      ^                   |
+//      |                   +---- node crash ----> requeued (kPending,
+//      |                                          requeues+1)
+//      +<-----------------------------------------+
 //
-// Preemption and node-failure requeue keep only the work a job has
-// checkpointed.  A job without checkpoints loses all its progress
-// (accounted as wasted node-seconds) and runs its full runtime again on the
-// next allocation.  A checkpointing job keeps every completed interval and
-// loses only the segment in progress.
+// A node-failure requeue keeps only the work a job has checkpointed.  A
+// job without checkpoints loses all its progress (accounted as wasted
+// node-seconds) and runs its full runtime again on the next allocation.
+// A checkpointing job keeps every completed interval and loses only the
+// segment in progress.
 #pragma once
 
 #include <cstddef>
@@ -56,8 +56,6 @@ struct JobSpec {
   double runtime = 0.0;   ///< actual execution time, seconds
   double estimate = 0.0;  ///< requested wall time, seconds (0 = runtime)
   std::uint32_t width = 1;
-  std::int32_t priority = 0;  ///< base priority; higher schedules first
-  bool preemptible = true;
   /// Seconds of work between checkpoints; 0 = none (a requeue restarts
   /// from scratch).  Each checkpoint takes `checkpoint_cost` seconds, so a
   /// run lasts its work times (1 + checkpoint_cost / checkpoint_interval).

@@ -1,7 +1,6 @@
 #include "polaris/rm/manager.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -96,15 +95,7 @@ ResourceManager::ResourceManager(des::Engine& engine, std::size_t nodes,
                                  RmConfig cfg)
     : engine_(&engine),
       cfg_(cfg),
-      alloc_(nodes),
-      acct_(AccountingStore::Config{cfg.fairshare_halflife}) {
-  head_.fill(kNilIndex);
-  tail_.fill(kNilIndex);
-  const std::uint32_t p = std::max(1u, cfg_.priority_tiers);
-  const std::uint32_t f = cfg_.fair_share ? std::max(1u, cfg_.fairshare_tiers)
-                                          : 1u;
-  POLARIS_CHECK_MSG(p * f <= kMaxTiers, "rm: too many priority tiers");
-}
+      alloc_(nodes) {}
 
 ResourceManager::ResourceManager(des::Engine& engine,
                                  const fabric::Topology& topo, RmConfig cfg)
@@ -112,33 +103,9 @@ ResourceManager::ResourceManager(des::Engine& engine,
       cfg_(cfg),
       alloc_(cfg.placement == RmConfig::Placement::kTopology
                  ? BlockAllocator(topo)
-                 : BlockAllocator(topo.node_count())),
-      acct_(AccountingStore::Config{cfg.fairshare_halflife}) {
-  head_.fill(kNilIndex);
-  tail_.fill(kNilIndex);
-  const std::uint32_t p = std::max(1u, cfg_.priority_tiers);
-  const std::uint32_t f = cfg_.fair_share ? std::max(1u, cfg_.fairshare_tiers)
-                                          : 1u;
-  POLARIS_CHECK_MSG(p * f <= kMaxTiers, "rm: too many priority tiers");
-}
+                 : BlockAllocator(topo.node_count())) {}
 
 double ResourceManager::now_s() const { return des::to_seconds(engine_->now()); }
-
-std::uint32_t ResourceManager::compute_tier(const JobSpec& spec) const {
-  const std::uint32_t p_tiers = std::max(1u, cfg_.priority_tiers);
-  const std::uint32_t f_tiers =
-      cfg_.fair_share ? std::max(1u, cfg_.fairshare_tiers) : 1u;
-  const std::uint32_t p = static_cast<std::uint32_t>(std::clamp<std::int32_t>(
-      spec.priority, 0, static_cast<std::int32_t>(p_tiers) - 1));
-  std::uint32_t f = 0;
-  if (f_tiers > 1) {
-    const double factor = acct_.user_factor(spec.user, now_s());
-    f = std::min(f_tiers - 1,
-                 static_cast<std::uint32_t>(factor *
-                                            static_cast<double>(f_tiers)));
-  }
-  return p * f_tiers + f;
-}
 
 void ResourceManager::submit(const JobSpec& spec) {
   POLARIS_CHECK(spec.width >= 1 && spec.width <= alloc_.node_count());
@@ -163,7 +130,6 @@ void ResourceManager::arrival_cb(void* ctx) {
   RmJob& job = *static_cast<RmJob*>(ctx);
   ResourceManager& rm = *job.rm;
   rm.acct_.on_submit(job.spec);
-  job.tier = rm.compute_tier(job.spec);
   rm.enqueue(job, /*front=*/false);
   if (rm.have_track_) {
     rm.tracer_->instant(rm.track_, "submit job " + std::to_string(job.spec.id),
@@ -174,15 +140,14 @@ void ResourceManager::arrival_cb(void* ctx) {
 
 void ResourceManager::enqueue(RmJob& job, bool front) {
   POLARIS_CHECK(!job.queued);
-  const std::uint32_t t = job.tier;
   job.queued = true;
-  // The job is linked in after `prev` (kNilIndex: at the head of the tier).
-  std::uint32_t prev = front ? kNilIndex : tail_[t];
+  // The job is linked in after `prev` (kNilIndex: at the head).
+  std::uint32_t prev = front ? kNilIndex : tail_;
   if (cfg_.policy == Policy::kSjf) {
     // Estimate order.  Among equal estimates an arrival goes last and a
     // requeued job (`front`) first.
     const double est = planning_estimate(job.spec);
-    prev = tail_[t];
+    prev = tail_;
     while (prev != kNilIndex) {
       const double other = planning_estimate(jobs_[prev].spec);
       if (other < est || (other == est && !front)) break;
@@ -190,45 +155,40 @@ void ResourceManager::enqueue(RmJob& job, bool front) {
     }
   }
   job.prev = prev;
-  job.next = prev == kNilIndex ? head_[t] : jobs_[prev].next;
+  job.next = prev == kNilIndex ? head_ : jobs_[prev].next;
   if (job.prev != kNilIndex) {
     jobs_[job.prev].next = job.slot;
   } else {
-    head_[t] = job.slot;
+    head_ = job.slot;
   }
   if (job.next != kNilIndex) {
     jobs_[job.next].prev = job.slot;
   } else {
-    tail_[t] = job.slot;
+    tail_ = job.slot;
   }
-  queue_mask_ |= 1ull << t;
   ++pending_count_;
 }
 
 void ResourceManager::dequeue(RmJob& job) {
   POLARIS_CHECK(job.queued);
-  const std::uint32_t t = job.tier;
   if (job.prev != kNilIndex) {
     jobs_[job.prev].next = job.next;
   } else {
-    head_[t] = job.next;
+    head_ = job.next;
   }
   if (job.next != kNilIndex) {
     jobs_[job.next].prev = job.prev;
   } else {
-    tail_[t] = job.prev;
+    tail_ = job.prev;
   }
-  if (head_[t] == kNilIndex) queue_mask_ &= ~(1ull << t);
   job.prev = job.next = kNilIndex;
   job.queued = false;
   --pending_count_;
 }
 
 ResourceManager::RmJob* ResourceManager::queue_head() {
-  POLARIS_CHECK(queue_mask_ != 0);
-  const auto t = static_cast<std::uint32_t>(
-      63 - std::countl_zero(queue_mask_));
-  return &jobs_[head_[t]];
+  POLARIS_CHECK(head_ != kNilIndex);
+  return &jobs_[head_];
 }
 
 void ResourceManager::start_job(RmJob& job, bool via_backfill) {
@@ -278,7 +238,7 @@ void ResourceManager::finish_job(RmJob& job) {
   run_queue();
 }
 
-void ResourceManager::requeue_job(RmJob& job, bool preempted) {
+void ResourceManager::requeue_job(RmJob& job) {
   POLARIS_CHECK(job.state == JobState::kRunning);
   engine_->cancel(job.completion);
   timeline_.remove(job.slot, job.planned_end);
@@ -298,20 +258,13 @@ void ResourceManager::requeue_job(RmJob& job, bool preempted) {
   job.state = JobState::kPending;
   job.start = -1.0;
   --running_count_;
-  if (preempted) {
-    ++preemptions_;
-    if (c_preemptions_) c_preemptions_->add();
-  } else {
-    ++requeues_;
-    if (c_requeues_) c_requeues_->add();
-  }
+  ++requeues_;
+  if (c_requeues_) c_requeues_->add();
   if (have_track_) {
-    tracer_->instant(track_,
-                     (preempted ? "preempt job " : "requeue job ") +
-                         std::to_string(job.spec.id),
+    tracer_->instant(track_, "requeue job " + std::to_string(job.spec.id),
                      "rm");
   }
-  // Front of its tier: a victim resumes before peers that never ran.
+  // Front of the queue: a victim resumes before jobs that never ran.
   enqueue(job, /*front=*/true);
 }
 
@@ -320,17 +273,13 @@ void ResourceManager::run_queue() {
   in_run_queue_ = true;
   ++decision_passes_;
   quick_start();
-  if (cfg_.preemption && queue_mask_ != 0) {
-    try_preempt_for(*queue_head());
-    quick_start();
-  }
   maybe_backfill();
   update_gauges();
   in_run_queue_ = false;
 }
 
 void ResourceManager::quick_start() {
-  while (queue_mask_ != 0) {
+  while (head_ != kNilIndex) {
     RmJob* j = queue_head();
     if (j->spec.width > alloc_.free_count()) break;
     dequeue(*j);
@@ -339,7 +288,7 @@ void ResourceManager::quick_start() {
 }
 
 void ResourceManager::maybe_backfill() {
-  if (cfg_.policy == Policy::kFcfs || queue_mask_ == 0) return;
+  if (cfg_.policy == Policy::kFcfs || head_ == kNilIndex) return;
   const des::SimTime interval = des::from_seconds(cfg_.backfill_interval);
   if (engine_->now() - last_backfill_tick_ >= interval) {
     backfill_cycle();
@@ -363,30 +312,27 @@ void ResourceManager::backfill_timer_cb(void* ctx) {
 void ResourceManager::backfill_cycle() {
   ++backfill_cycles_;
   last_backfill_tick_ = engine_->now();
-  if (queue_mask_ == 0) return;
+  if (head_ == kNilIndex) return;
   const double now = now_s();
 
   if (cfg_.policy == Policy::kConservative) {
     Profile prof(now, static_cast<double>(alloc_.free_count()),
                  timeline_.ends());
-    const std::uint32_t head_slot = queue_head()->slot;
+    const std::uint32_t head_slot = head_;
     std::uint32_t scanned = 0;
-    for (int t = kMaxTiers - 1; t >= 0 && scanned < cfg_.backfill_depth;
-         --t) {
-      std::uint32_t s = head_[static_cast<std::size_t>(t)];
-      while (s != kNilIndex && scanned < cfg_.backfill_depth) {
-        RmJob& c = jobs_[s];
-        const std::uint32_t nxt = c.next;
-        ++scanned;
-        const bool is_head = s == head_slot;
-        const double est = planning_estimate(c.spec);
-        const double earliest = prof.reserve(c.spec.width, est);
-        if (earliest <= now && c.spec.width <= alloc_.free_count()) {
-          dequeue(c);
-          start_job(c, /*via_backfill=*/!is_head);
-        }
-        s = nxt;
+    std::uint32_t s = head_;
+    while (s != kNilIndex && scanned < cfg_.backfill_depth) {
+      RmJob& c = jobs_[s];
+      const std::uint32_t nxt = c.next;
+      ++scanned;
+      const bool is_head = s == head_slot;
+      const double est = planning_estimate(c.spec);
+      const double earliest = prof.reserve(c.spec.width, est);
+      if (earliest <= now && c.spec.width <= alloc_.free_count()) {
+        dequeue(c);
+        start_job(c, /*via_backfill=*/!is_head);
       }
+      s = nxt;
     }
     return;
   }
@@ -403,65 +349,24 @@ void ResourceManager::backfill_cycle() {
                 static_cast<std::uint32_t>(alloc_.free_count()));
   std::uint32_t extra = shadow.extra;
   std::uint32_t scanned = 0;
-  for (int t = kMaxTiers - 1; t >= 0 && scanned < cfg_.backfill_depth; --t) {
-    std::uint32_t s = head_[t];
-    while (s != kNilIndex && scanned < cfg_.backfill_depth) {
-      RmJob& c = jobs_[s];
-      const std::uint32_t nxt = c.next;
-      if (&c != head) {
-        ++scanned;
-        if (c.spec.width <= alloc_.free_count()) {
-          const double est = planning_estimate(c.spec);
-          const bool ends_before_shadow = now + est <= shadow.time;
-          const bool fits_extra = c.spec.width <= extra;
-          if (ends_before_shadow || fits_extra) {
-            if (!ends_before_shadow) extra -= c.spec.width;
-            dequeue(c);
-            start_job(c, /*via_backfill=*/true);
-          }
+  std::uint32_t s = head_;
+  while (s != kNilIndex && scanned < cfg_.backfill_depth) {
+    RmJob& c = jobs_[s];
+    const std::uint32_t nxt = c.next;
+    if (&c != head) {
+      ++scanned;
+      if (c.spec.width <= alloc_.free_count()) {
+        const double est = planning_estimate(c.spec);
+        const bool ends_before_shadow = now + est <= shadow.time;
+        const bool fits_extra = c.spec.width <= extra;
+        if (ends_before_shadow || fits_extra) {
+          if (!ends_before_shadow) extra -= c.spec.width;
+          dequeue(c);
+          start_job(c, /*via_backfill=*/true);
         }
       }
-      s = nxt;
     }
-  }
-}
-
-void ResourceManager::try_preempt_for(RmJob& head) {
-  const std::uint32_t need = head.spec.width;
-  const auto free = static_cast<std::uint32_t>(alloc_.free_count());
-  if (free >= need) return;  // quick_start will take it
-  if (head.tier < cfg_.preempt_gap) return;
-  const std::uint32_t max_victim_tier = head.tier - cfg_.preempt_gap;
-
-  // The timeline's entries are exactly the running set.
-  struct Victim {
-    std::uint32_t tier;
-    double start;
-    JobId id;
-    std::uint32_t slot;
-  };
-  std::vector<Victim> victims;
-  for (const PlanningTimeline::RunEnd& e : timeline_.ends()) {
-    const RmJob& j = jobs_[e.slot];
-    if (!j.spec.preemptible || j.tier > max_victim_tier) continue;
-    victims.push_back({j.tier, j.start, j.spec.id, j.slot});
-  }
-  // Cheapest victims first: lowest tier, then shortest time invested.
-  std::sort(victims.begin(), victims.end(),
-            [](const Victim& a, const Victim& b) {
-              if (a.tier != b.tier) return a.tier < b.tier;
-              if (a.start != b.start) return a.start > b.start;
-              return a.id > b.id;
-            });
-  std::uint32_t would_free = free;
-  std::size_t take = 0;
-  while (take < victims.size() && would_free < need) {
-    would_free += jobs_[victims[take].slot].spec.width;
-    ++take;
-  }
-  if (would_free < need) return;  // even evicting everyone eligible fails
-  for (std::size_t i = 0; i < take; ++i) {
-    requeue_job(jobs_[victims[i].slot], /*preempted=*/true);
+    s = nxt;
   }
 }
 
@@ -483,7 +388,7 @@ void ResourceManager::node_failed(fabric::NodeId node) {
   if (alloc_.drained(node)) return;
   const std::uint32_t owner = alloc_.owner_of(node);
   alloc_.drain(node);
-  if (owner != kNilIndex) requeue_job(jobs_[owner], /*preempted=*/false);
+  if (owner != kNilIndex) requeue_job(jobs_[owner]);
   run_queue();
 }
 
@@ -501,7 +406,6 @@ void ResourceManager::attach_metrics(obs::MetricsRegistry& metrics) {
   g_nodes_drained_ = &metrics.gauge("rm.nodes_drained");
   c_started_ = &metrics.counter("rm.started");
   c_backfilled_ = &metrics.counter("rm.backfilled");
-  c_preemptions_ = &metrics.counter("rm.preemptions");
   c_requeues_ = &metrics.counter("rm.requeues");
   h_wait_ = &metrics.log_histogram("rm.wait_time_us");
   update_gauges();
@@ -531,7 +435,6 @@ const Allocation* ResourceManager::allocation_of(JobId id) const {
 ResourceManager::Summary ResourceManager::summary() const {
   Summary s;
   s.backfilled = backfilled_;
-  s.preemptions = preemptions_;
   s.requeues = requeues_;
   s.fragmented_allocs = alloc_.stats().fragmented;
   support::Summary waits;

@@ -12,7 +12,10 @@
 //                 analogue of RDMA read) and signals the sender's
 //                 completion flag.
 // Tag matching, protocol choice and collective schedules are the same code
-// the simulated runtime uses (polaris::msg / polaris::coll).
+// the simulated runtime uses (polaris::msg / polaris::coll).  A
+// Communicator offers point-to-point, active messages, barrier and
+// allreduce; any other coll schedule (a broadcast, reduce, allgather,
+// alltoall, reduce-scatter or scan) runs through run_schedule.
 #pragma once
 
 #include <atomic>
@@ -38,8 +41,6 @@ namespace polaris::rt {
 struct ShmOptions {
   std::size_t eager_threshold = 8 * 1024;  ///< bytes; larger => rendezvous
   std::size_t ring_capacity = 1024;        ///< descriptors per rank pair
-  /// Algorithm override for collectives; unset => per-call selection.
-  bool fixed_algorithms = false;
 };
 
 class Communicator;
@@ -121,23 +122,11 @@ class Communicator {
 
   // -- collectives (double element type) --------------------------------------
   void barrier();
-  void broadcast(std::span<double> buf, int root);
-  void reduce(std::span<double> buf, coll::ReduceOp op, int root);
   void allreduce(std::span<double> buf, coll::ReduceOp op);
-  /// buf holds size()*block doubles; this rank's contribution at
-  /// [rank*block, (rank+1)*block).
-  void allgather(std::span<double> buf, std::size_t block);
-  /// out/in hold size()*block doubles each.
-  void alltoall(std::span<const double> in, std::span<double> out,
-                std::size_t block);
-  /// buf holds size()*block doubles; afterwards this rank's block
-  /// [rank*block, (rank+1)*block) holds its slice of the reduction.
-  void reduce_scatter(std::span<double> buf, coll::ReduceOp op,
-                      std::size_t block);
-  /// Inclusive prefix reduction by rank order.
-  void scan(std::span<double> buf, coll::ReduceOp op);
 
-  /// Executes an arbitrary schedule (collective building block).
+  /// Executes an arbitrary schedule (collective building block).  An
+  /// alltoall schedule (needs_local_copy) reads its sends from `input`,
+  /// which holds size()*block doubles like `buf`.
   void run_schedule(const coll::Schedule& schedule, std::span<double> buf,
                     coll::ReduceOp op,
                     std::span<const double> input = {});
@@ -167,8 +156,6 @@ class Communicator {
   void handle_incoming(const detail::WireMsg& m);
   void complete_recv(detail::PendingRecv& pr, const detail::WireMsg& m);
   void deliver_local(int tag, std::span<const std::byte> data);
-  coll::Algorithm pick(coll::Collective kind, std::size_t count,
-                       int root) const;
 
   int rank_ = 0;
   int size_ = 0;

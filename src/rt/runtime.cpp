@@ -256,12 +256,6 @@ void Communicator::am_send(int dst, msg::AmHandlerId handler,
 
 // ------------------------------------------------------------ collectives
 
-coll::Algorithm Communicator::pick(coll::Collective kind, std::size_t count,
-                                   int root) const {
-  return coll::select_algorithm(kind, static_cast<std::size_t>(size_), count,
-                                sizeof(double), shm_loggp(), root);
-}
-
 void Communicator::run_schedule(const coll::Schedule& schedule,
                                 std::span<double> buf, coll::ReduceOp op,
                                 std::span<const double> input) {
@@ -317,62 +311,13 @@ void Communicator::barrier() {
   run_schedule(schedule, {&dummy, 1}, coll::ReduceOp::kSum);
 }
 
-void Communicator::broadcast(std::span<double> buf, int root) {
-  obs::ScopedSpan span(tracer_, track_, "broadcast", "coll");
-  const auto a = pick(coll::Collective::kBroadcast, buf.size(), root);
-  run_schedule(coll::broadcast(static_cast<std::size_t>(size_), buf.size(),
-                               root, a),
-               buf, coll::ReduceOp::kSum);
-}
-
-void Communicator::reduce(std::span<double> buf, coll::ReduceOp op,
-                          int root) {
-  obs::ScopedSpan span(tracer_, track_, "reduce", "coll");
-  const auto a = pick(coll::Collective::kReduce, buf.size(), root);
-  run_schedule(
-      coll::reduce(static_cast<std::size_t>(size_), buf.size(), root, a),
-      buf, op);
-}
-
 void Communicator::allreduce(std::span<double> buf, coll::ReduceOp op) {
   obs::ScopedSpan span(tracer_, track_, "allreduce", "coll");
-  const auto a = pick(coll::Collective::kAllreduce, buf.size(), 0);
-  run_schedule(coll::allreduce(static_cast<std::size_t>(size_), buf.size(), a),
-               buf, op);
-}
-
-void Communicator::allgather(std::span<double> buf, std::size_t block) {
-  obs::ScopedSpan span(tracer_, track_, "allgather", "coll");
-  POLARIS_CHECK(buf.size() >= block * static_cast<std::size_t>(size_));
-  const auto a = pick(coll::Collective::kAllgather, block, 0);
-  run_schedule(coll::allgather(static_cast<std::size_t>(size_), block, a),
-               buf, coll::ReduceOp::kSum);
-}
-
-void Communicator::alltoall(std::span<const double> in,
-                            std::span<double> out, std::size_t block) {
-  obs::ScopedSpan span(tracer_, track_, "alltoall", "coll");
-  POLARIS_CHECK(in.size() >= block * static_cast<std::size_t>(size_));
-  POLARIS_CHECK(out.size() >= block * static_cast<std::size_t>(size_));
-  run_schedule(coll::alltoall(static_cast<std::size_t>(size_), block,
-                              coll::Algorithm::kPairwise),
-               out, coll::ReduceOp::kSum, in);
-}
-
-void Communicator::reduce_scatter(std::span<double> buf, coll::ReduceOp op,
-                                  std::size_t block) {
-  obs::ScopedSpan span(tracer_, track_, "reduce_scatter", "coll");
-  POLARIS_CHECK(buf.size() >= block * static_cast<std::size_t>(size_));
-  const auto a = pick(coll::Collective::kReduceScatter, block, 0);
-  run_schedule(
-      coll::reduce_scatter(static_cast<std::size_t>(size_), block, a), buf,
-      op);
-}
-
-void Communicator::scan(std::span<double> buf, coll::ReduceOp op) {
-  obs::ScopedSpan span(tracer_, track_, "scan", "coll");
-  run_schedule(coll::scan(static_cast<std::size_t>(size_), buf.size()), buf,
-               op);
+  const auto ranks = static_cast<std::size_t>(size_);
+  const auto a = coll::select_algorithm(coll::Collective::kAllreduce, ranks,
+                                        buf.size(), sizeof(double),
+                                        shm_loggp());
+  run_schedule(coll::allreduce(ranks, buf.size(), a), buf, op);
 }
 
 // ------------------------------------------------------------------ ShmWorld

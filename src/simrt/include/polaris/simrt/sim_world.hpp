@@ -72,14 +72,15 @@ enum class SimStatus : std::uint8_t {
   kOk = 0,
   kPeerDown,  ///< the peer's node crashed (detected or mid-transfer)
   kLinkDown,  ///< a routed link stayed down through every retry
-  kTimeout,   ///< a posted receive saw no message within the policy timeout
+  kTimeout,   ///< a receive, or a rendezvous send's match wait, timed out
 };
 
 /// Fault-recovery knobs for the messaging layer (SimWorld::enable_faults).
 /// A failed wire transfer is retried up to max_retries times with
 /// exponential backoff; recv_timeout > 0 additionally arms a timer on every
-/// queued receive (and on the rendezvous match wait) so a receive from a
-/// crashed peer fails instead of hanging forever.
+/// queued receive and on the rendezvous match wait.  Each fires once: the
+/// operation fails with kPeerDown if the peer's node is down and kTimeout
+/// otherwise, so a crashed or silent peer cannot hang it forever.
 struct RetryPolicy {
   std::uint32_t max_retries = 3;
   double backoff = 1e-3;         ///< seconds before the first retry
@@ -364,9 +365,8 @@ class SimComm {
   static void eager_delivered_cb(void* ctx, fabric::XferStatus status);
   /// Receive-timeout timer (ctx is the PendingRecv).
   static void recv_timeout_cb(void* ctx);
-  /// Rendezvous match-wait deadline (ctx is the InFlight): if the peer's
-  /// node is down, fails the send with kPeerDown; otherwise re-arms (the
-  /// peer is merely slow, not dead).
+  /// Rendezvous match-wait deadline (ctx is the InFlight): fails the send
+  /// with kPeerDown if the peer's node is down, kTimeout otherwise.
   static void rdv_sync_timeout_cb(void* ctx);
 
   /// Applies an arrival in per-source issue order (MPI non-overtaking).

@@ -191,16 +191,13 @@ void SimComm::rdv_sync_timeout_cb(void* ctx) {
   SimComm& dst = *f.dst_comm;
   SimWorld& w = *dst.world_;
   if (f.matched.fired()) return;
-  if (!w.network().node_up(dst.node_of(dst.rank_))) {
-    // Peer is dead: fail the handshake instead of waiting forever.
-    f.status = SimStatus::kPeerDown;
-    f.matched.fire(w.engine());
-    return;
-  }
-  // Peer alive but hasn't posted its receive yet — merely slow.  Re-arm.
-  f.sync_timeout = w.engine().schedule_raw_after(
-      des::from_seconds(w.retry_policy().recv_timeout),
-      &SimComm::rdv_sync_timeout_cb, &f);
+  // Fail the handshake once, as a posted receive's timeout does: a peer
+  // that never posts its receive would otherwise keep the engine busy
+  // forever.
+  f.status = w.network().node_up(dst.node_of(dst.rank_))
+                 ? SimStatus::kTimeout
+                 : SimStatus::kPeerDown;
+  f.matched.fire(w.engine());
 }
 
 des::Task<SimStatus> SimComm::send_rendezvous(detail::InFlight& f,
@@ -247,12 +244,12 @@ des::Task<SimStatus> SimComm::send_rendezvous(detail::InFlight& f,
     co_await f.matched.wait();
     eng.cancel(f.sync_timeout);
     if (f.status != SimStatus::kOk) {
-      // Declared dead before its receive matched.  The envelope waits in
-      // the dead rank's matcher like any unreceived message, holding the
-      // receiver's reference.  Fire `delivered` as the lost-CTS branch
-      // does: the dead rank's program keeps running, and a receive that
-      // matches the envelope later then returns the failure and frees the
-      // record instead of waiting forever.
+      // The match wait timed out.  The envelope waits in the peer's
+      // matcher like any unreceived message, holding the receiver's
+      // reference.  Fire `delivered` as the lost-CTS branch does: the
+      // peer's program keeps running, and a receive that matches the
+      // envelope later then returns the failure and frees the record
+      // instead of waiting forever.
       world_->count_drop();
       const SimStatus st = f.status;
       f.delivered.fire(eng);

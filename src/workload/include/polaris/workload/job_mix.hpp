@@ -2,12 +2,12 @@
 //
 // Extends the Feitelson-style statistical shape (Poisson arrivals,
 // power-of-two-biased widths, log-uniform runtimes, over-estimated
-// requests) with the dimensions a resource manager actually schedules on:
-// a skewed population of users (a few heavy submitters, a long tail)
-// grouped into accounts, per-job base priorities, and a preemptible flag.
+// requests) with the identities a resource manager accounts by: a skewed
+// population of users (a few heavy submitters, a long tail) grouped into
+// accounts.
 //
-// With one user, no priorities and every job preemptible, the trace is the
-// plain Feitelson stream: a draw is taken only for a field that can vary.
+// With one user the trace is the plain Feitelson stream: a draw is taken
+// only for a field that can vary.
 //
 // `integral_times` rounds every submit/runtime/estimate to whole seconds.
 // That makes the seconds -> engine-tick conversion exact, so tests can
@@ -34,8 +34,6 @@ struct MultiUserTraceConfig {
   double min_runtime = 60.0;
   double max_runtime = 24.0 * 3600.0;
   double max_overestimate = 5.0;    ///< estimate = runtime * U[1, this]
-  std::uint32_t priority_levels = 1;  ///< priorities drawn from [0, this)
-  double p_preemptible = 1.0;
   bool integral_times = false;  ///< whole-second times (tick-exact)
 };
 

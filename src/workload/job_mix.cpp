@@ -16,7 +16,6 @@ std::vector<rm::JobSpec> make_multi_user_trace(
   POLARIS_CHECK(config.min_runtime > 0 &&
                 config.min_runtime <= config.max_runtime);
   POLARIS_CHECK(config.max_overestimate >= 1.0);
-  POLARIS_CHECK(config.priority_levels >= 1);
 
   support::Random rng(seed);
 
@@ -53,13 +52,6 @@ std::vector<rm::JobSpec> make_multi_user_trace(
     }
     j.runtime = rng.log_uniform(config.min_runtime, config.max_runtime);
     j.estimate = j.runtime * rng.uniform(1.0, config.max_overestimate);
-    if (config.priority_levels > 1) {
-      j.priority = static_cast<std::int32_t>(
-          rng.uniform_int(0, config.priority_levels - 1));
-    }
-    if (config.p_preemptible < 1.0) {
-      j.preemptible = rng.bernoulli(config.p_preemptible);
-    }
     if (config.integral_times) {
       j.submit = std::floor(j.submit);
       j.runtime = std::max(1.0, std::floor(j.runtime));

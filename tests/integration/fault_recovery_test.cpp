@@ -10,7 +10,9 @@
 //      max_retries backoffs, and a posted receive from it times out with
 //      kPeerDown instead of hanging the simulation.
 //   3. A rendezvous the sender abandoned while the receiver was down fails
-//      the receive that matches it later, instead of hanging it.
+//      the receive that matches it later, instead of hanging it; one to a
+//      live rank that never receives times out once instead of keeping
+//      the engine busy forever.
 //   4. FailureTimeline::until() and ::next() describe the same stream.
 #include <gtest/gtest.h>
 
@@ -196,6 +198,30 @@ TEST(FaultRecovery, LateReceiveOfAbandonedRendezvousFails) {
   EXPECT_EQ(recv_status.status, simrt::SimStatus::kPeerDown);
   EXPECT_EQ(world.ranks_finished(), world.ranks_launched());
   EXPECT_EQ(world.inflight_in_use(), 0u);
+}
+
+TEST(FaultRecovery, RendezvousToSilentLiveRankTimesOutOnce) {
+  // Rank 1 stays up but never posts its receive.  The sender's match wait
+  // must fail once with kTimeout, as a posted receive's timeout does; a
+  // deadline re-armed for as long as the peer is up never lets the engine
+  // drain.  run_until bounds the run, so that defect fails here instead of
+  // hanging the test.
+  simrt::SimWorld world(2, fabric::fabrics::myrinet2000());
+  fault::Injector injector(world.engine(), world.network());
+  simrt::RetryPolicy policy;
+  policy.recv_timeout = 0.05;
+  world.enable_faults(injector, policy);
+
+  simrt::SimStatus send_status = simrt::SimStatus::kOk;
+  world.launch([&](simrt::SimComm& c) -> des::Task<void> {
+    if (c.rank() == 0) send_status = co_await c.send(1, /*tag=*/7, 1 << 20);
+    co_return;
+  });
+  world.engine().run_until(des::from_seconds(10.0));
+
+  EXPECT_TRUE(world.engine().empty());
+  EXPECT_EQ(send_status, simrt::SimStatus::kTimeout);
+  EXPECT_EQ(world.ranks_finished(), 2u);
 }
 
 TEST(FaultTimeline, UntilAndNextDescribeTheSameStream) {

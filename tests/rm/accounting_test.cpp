@@ -1,4 +1,4 @@
-// AccountingStore: the sacct-alike ledger and decayed-usage fair share.
+// AccountingStore: the sacct-alike ledger.
 #include "polaris/rm/accounting.hpp"
 
 #include <gtest/gtest.h>
@@ -59,41 +59,6 @@ TEST(AccountingTest, RequeueChargesPartialRunAsWaste) {
   const AccountingStore::Totals t = acct.totals();
   EXPECT_DOUBLE_EQ(t.node_seconds, 200.0);         // final run only
   EXPECT_DOUBLE_EQ(t.wasted_node_seconds, 120.0);  // aborted run
-  // The wasted run still counts against the user's fair share (the first
-  // charge decays slightly over the 120 s between the two charges).
-  EXPECT_NEAR(acct.user_usage(0, 150.0), 320.0, 0.05);
-}
-
-TEST(AccountingTest, FairShareFactorPenalizesUsage) {
-  AccountingStore acct;
-  acct.on_submit(spec(1, /*user=*/0, 0, 8, 0.0));
-  acct.on_start(1, 0.0);
-  acct.on_complete(1, 1000.0);  // user 0 consumed 8000 node-seconds
-
-  const double hog = acct.user_factor(0, 1000.0);
-  const double idle = acct.user_factor(1, 1000.0);
-  EXPECT_DOUBLE_EQ(idle, 1.0);  // never charged
-  EXPECT_LT(hog, idle);
-  EXPECT_GT(hog, 0.0);
-  // Sole user: usage == mean usage, so the factor is exactly 2^-1.
-  EXPECT_NEAR(hog, 0.5, 1e-12);
-
-  // More shares tolerate more usage before the factor drops.
-  acct.set_user_shares(0, 4.0);
-  EXPECT_GT(acct.user_factor(0, 1000.0), hog);
-}
-
-TEST(AccountingTest, UsageDecaysWithHalflife) {
-  AccountingStore acct(AccountingStore::Config{/*fairshare_halflife=*/100.0});
-  acct.on_submit(spec(1, 0, 0, 1, 0.0));
-  acct.on_start(1, 0.0);
-  acct.on_complete(1, 40.0);  // 40 node-seconds at t=40
-  const double now = acct.user_usage(0, 40.0);
-  EXPECT_DOUBLE_EQ(now, 40.0);
-  EXPECT_NEAR(acct.user_usage(0, 140.0), 20.0, 1e-9);   // one half-life
-  EXPECT_NEAR(acct.user_usage(0, 240.0), 10.0, 1e-9);   // two
-  EXPECT_GT(acct.user_factor(0, 2040.0), 0.49);  // usage nearly gone...
-  EXPECT_LE(acct.user_factor(0, 2040.0), 0.5);   // ...but so is the mean
 }
 
 TEST(AccountingTest, QueriesFilterByUserAccountAndState) {

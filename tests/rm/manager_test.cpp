@@ -6,8 +6,7 @@
 // whole-second multi-user trace, and within 1 us on a non-integral
 // single-user trace shaped like the F7 experiment's.  Around it: EASY
 // backfill strictly helps mean wait and never loses a job, conservative
-// backfill completes everything, priority preemption restarts victims
-// with the waste accounted, fair share reorders equal-priority users, topology placement stays contiguous, the
+// backfill completes everything, topology placement stays contiguous, the
 // summary's metric definitions hold, and the tracer renders a job Gantt.
 #include "polaris/rm/manager.hpp"
 
@@ -85,7 +84,6 @@ TEST(ResourceManagerTest, LegacyFcfsEquivalenceJobForJob) {
   const ResourceManager::Summary s = rm.summary();
   EXPECT_EQ(s.completed, specs.size());
   EXPECT_EQ(s.backfilled, 0u);
-  EXPECT_EQ(s.preemptions, 0u);
   EXPECT_EQ(rm.queue_depth(), 0u);
   EXPECT_EQ(rm.running_jobs(), 0u);
   EXPECT_NEAR(s.mean_wait, m.mean_wait, 1e-6);
@@ -208,88 +206,6 @@ TEST(ResourceManagerTest, RateLimitedBackfillCoalescesCycles) {
   const std::uint64_t limited = run_with_interval(300.0);
   EXPECT_LT(limited, eager);
   EXPECT_GT(limited, 0u);
-}
-
-TEST(ResourceManagerTest, PreemptionRestartsVictimAndAccountsWaste) {
-  des::Engine engine;
-  RmConfig cfg;
-  cfg.placement = RmConfig::Placement::kFlat;
-  cfg.policy = Policy::kFcfs;
-  cfg.preemption = true;
-  cfg.priority_tiers = 8;
-  ResourceManager rm(engine, 4, cfg);
-
-  JobSpec low;
-  low.id = 1;
-  low.submit = 0.0;
-  low.runtime = 1000.0;
-  low.estimate = 1000.0;
-  low.width = 4;
-  low.priority = 0;
-  low.preemptible = true;
-  JobSpec high;
-  high.id = 2;
-  high.submit = 10.0;
-  high.runtime = 50.0;
-  high.estimate = 50.0;
-  high.width = 4;
-  high.priority = 7;
-  high.preemptible = false;
-  rm.submit(low);
-  rm.submit(high);
-  engine.run();
-
-  const JobRecord* lo = rm.accounting().find(1);
-  const JobRecord* hi = rm.accounting().find(2);
-  ASSERT_NE(lo, nullptr);
-  ASSERT_NE(hi, nullptr);
-  EXPECT_EQ(ticks(hi->start), ticks(10.0));
-  EXPECT_EQ(ticks(hi->finish), ticks(60.0));
-  EXPECT_EQ(lo->requeues, 1u);
-  EXPECT_NEAR(lo->wasted_node_seconds, 40.0, 1e-9);  // 4 nodes * 10 s
-  EXPECT_EQ(ticks(lo->start), ticks(60.0));  // restarted from scratch
-  EXPECT_EQ(ticks(lo->finish), ticks(1060.0));
-  const ResourceManager::Summary s = rm.summary();
-  EXPECT_EQ(s.preemptions, 1u);
-  EXPECT_EQ(s.completed, 2u);
-}
-
-TEST(ResourceManagerTest, FairShareDeprioritizesHeavyUser) {
-  des::Engine engine;
-  RmConfig cfg;
-  cfg.placement = RmConfig::Placement::kFlat;
-  cfg.policy = Policy::kFcfs;
-  cfg.fair_share = true;
-  cfg.priority_tiers = 1;
-  cfg.fairshare_tiers = 4;
-  ResourceManager rm(engine, 1, cfg);
-
-  auto mk = [](JobId id, UserId user, double submit, double runtime) {
-    JobSpec s;
-    s.id = id;
-    s.user = user;
-    s.submit = submit;
-    s.runtime = runtime;
-    s.estimate = runtime;
-    s.width = 1;
-    return s;
-  };
-  rm.submit(mk(1, /*user=*/0, 0.0, 1000.0));     // the hog
-  rm.submit(mk(2, /*user=*/2, 1000.0, 500.0));   // keeps the node busy
-  rm.submit(mk(3, /*user=*/0, 1100.0, 10.0));    // hog again (submitted first)
-  rm.submit(mk(4, /*user=*/1, 1100.0, 10.0));    // idle user
-  engine.run();
-
-  const JobRecord* hog = rm.accounting().find(3);
-  const JobRecord* idle = rm.accounting().find(4);
-  ASSERT_NE(hog, nullptr);
-  ASSERT_NE(idle, nullptr);
-  // The idle user's decayed-usage factor lands in a higher sub-tier, so
-  // their job overtakes the hog's earlier submission.
-  EXPECT_EQ(ticks(idle->start), ticks(1500.0));
-  EXPECT_EQ(ticks(hog->start), ticks(1510.0));
-  EXPECT_LT(rm.accounting().user_factor(0, 1100.0),
-            rm.accounting().user_factor(1, 1100.0));
 }
 
 JobSpec make_spec(JobId id, double submit, double runtime,

@@ -26,15 +26,22 @@ TEST(RtCollectives, BarrierCompletesAtManyRankCounts) {
 TEST(RtCollectives, BroadcastFromEveryRoot) {
   constexpr int kRanks = 5;
   ShmWorld world(kRanks);
-  for (int root = 0; root < kRanks; ++root) {
-    std::array<std::vector<double>, kRanks> out;
-    world.run([&](Communicator& c) {
-      std::vector<double> buf(16, c.rank() == root ? 3.25 : -1.0);
-      c.broadcast(buf, root);
-      out[c.rank()] = buf;
-    });
-    for (int r = 0; r < kRanks; ++r) {
-      for (double v : out[r]) EXPECT_DOUBLE_EQ(v, 3.25) << "root=" << root;
+  for (coll::Algorithm a :
+       coll::algorithms_for(coll::Collective::kBroadcast, kRanks)) {
+    for (int root = 0; root < kRanks; ++root) {
+      const auto schedule = coll::broadcast(kRanks, 16, root, a);
+      std::array<std::vector<double>, kRanks> out;
+      world.run([&](Communicator& c) {
+        std::vector<double> buf(16, c.rank() == root ? 3.25 : -1.0);
+        c.run_schedule(schedule, buf, coll::ReduceOp::kSum);
+        out[c.rank()] = buf;
+      });
+      for (int r = 0; r < kRanks; ++r) {
+        for (double v : out[r]) {
+          EXPECT_DOUBLE_EQ(v, 3.25)
+              << coll::to_string(a) << " root=" << root;
+        }
+      }
     }
   }
 }
@@ -78,32 +85,41 @@ TEST(RtCollectives, AllreduceMax) {
 TEST(RtCollectives, ReduceToNonZeroRoot) {
   constexpr int kRanks = 6;
   ShmWorld world(kRanks);
-  double root_result = 0;
-  world.run([&](Communicator& c) {
-    std::vector<double> buf{1.0};
-    c.reduce(buf, coll::ReduceOp::kSum, /*root=*/4);
-    if (c.rank() == 4) root_result = buf[0];
-  });
-  EXPECT_DOUBLE_EQ(root_result, 6.0);
+  for (coll::Algorithm a :
+       coll::algorithms_for(coll::Collective::kReduce, kRanks)) {
+    const auto schedule = coll::reduce(kRanks, 1, /*root=*/4, a);
+    double root_result = 0;
+    world.run([&](Communicator& c) {
+      std::vector<double> buf{1.0};
+      c.run_schedule(schedule, buf, coll::ReduceOp::kSum);
+      if (c.rank() == 4) root_result = buf[0];
+    });
+    EXPECT_DOUBLE_EQ(root_result, 6.0) << coll::to_string(a);
+  }
 }
 
 TEST(RtCollectives, AllgatherAssemblesAllBlocks) {
   constexpr int kRanks = 4;
   constexpr std::size_t kBlock = 3;
   ShmWorld world(kRanks);
-  std::array<std::vector<double>, kRanks> results;
-  world.run([&](Communicator& c) {
-    std::vector<double> buf(kRanks * kBlock, -1.0);
-    for (std::size_t i = 0; i < kBlock; ++i) {
-      buf[c.rank() * kBlock + i] = c.rank() * 100.0 + i;
-    }
-    c.allgather(buf, kBlock);
-    results[c.rank()] = buf;
-  });
-  for (int r = 0; r < kRanks; ++r) {
-    for (int s = 0; s < kRanks; ++s) {
+  for (coll::Algorithm a :
+       coll::algorithms_for(coll::Collective::kAllgather, kRanks)) {
+    const auto schedule = coll::allgather(kRanks, kBlock, a);
+    std::array<std::vector<double>, kRanks> results;
+    world.run([&](Communicator& c) {
+      std::vector<double> buf(kRanks * kBlock, -1.0);
       for (std::size_t i = 0; i < kBlock; ++i) {
-        ASSERT_DOUBLE_EQ(results[r][s * kBlock + i], s * 100.0 + i);
+        buf[c.rank() * kBlock + i] = c.rank() * 100.0 + i;
+      }
+      c.run_schedule(schedule, buf, coll::ReduceOp::kSum);
+      results[c.rank()] = buf;
+    });
+    for (int r = 0; r < kRanks; ++r) {
+      for (int s = 0; s < kRanks; ++s) {
+        for (std::size_t i = 0; i < kBlock; ++i) {
+          ASSERT_DOUBLE_EQ(results[r][s * kBlock + i], s * 100.0 + i)
+              << coll::to_string(a);
+        }
       }
     }
   }
@@ -113,6 +129,8 @@ TEST(RtCollectives, AlltoallTransposesBlocks) {
   constexpr int kRanks = 4;
   constexpr std::size_t kBlock = 2;
   ShmWorld world(kRanks);
+  const auto schedule =
+      coll::alltoall(kRanks, kBlock, coll::Algorithm::kPairwise);
   std::array<std::vector<double>, kRanks> results;
   world.run([&](Communicator& c) {
     std::vector<double> in(kRanks * kBlock), out(kRanks * kBlock, -1.0);
@@ -121,7 +139,7 @@ TEST(RtCollectives, AlltoallTransposesBlocks) {
         in[d * kBlock + i] = c.rank() * 1000.0 + d * 10.0 + i;
       }
     }
-    c.alltoall(in, out, kBlock);
+    c.run_schedule(schedule, out, coll::ReduceOp::kSum, in);
     results[c.rank()] = out;
   });
   for (int r = 0; r < kRanks; ++r) {
@@ -178,25 +196,29 @@ TEST(RtCollectives, RepeatedCollectivesOnSameWorld) {
   }
 }
 
-
 TEST(RtCollectives, ReduceScatterLeavesOwnBlockReduced) {
   constexpr int kRanks = 4;
   constexpr std::size_t kBlock = 3;
   ShmWorld world(kRanks);
-  std::array<std::vector<double>, kRanks> results;
-  world.run([&](Communicator& c) {
-    std::vector<double> buf(kRanks * kBlock);
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      buf[i] = static_cast<double>(c.rank() + 1) * (i + 1);
-    }
-    c.reduce_scatter(buf, coll::ReduceOp::kSum, kBlock);
-    results[c.rank()] = buf;
-  });
-  const double ranksum = kRanks * (kRanks + 1) / 2.0;
-  for (int r = 0; r < kRanks; ++r) {
-    for (std::size_t i = 0; i < kBlock; ++i) {
-      const std::size_t idx = r * kBlock + i;
-      ASSERT_NEAR(results[r][idx], ranksum * (idx + 1), 1e-9) << r << i;
+  for (coll::Algorithm a :
+       coll::algorithms_for(coll::Collective::kReduceScatter, kRanks)) {
+    const auto schedule = coll::reduce_scatter(kRanks, kBlock, a);
+    std::array<std::vector<double>, kRanks> results;
+    world.run([&](Communicator& c) {
+      std::vector<double> buf(kRanks * kBlock);
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        buf[i] = static_cast<double>(c.rank() + 1) * (i + 1);
+      }
+      c.run_schedule(schedule, buf, coll::ReduceOp::kSum);
+      results[c.rank()] = buf;
+    });
+    const double ranksum = kRanks * (kRanks + 1) / 2.0;
+    for (int r = 0; r < kRanks; ++r) {
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        const std::size_t idx = r * kBlock + i;
+        ASSERT_NEAR(results[r][idx], ranksum * (idx + 1), 1e-9)
+            << coll::to_string(a) << " " << r << i;
+      }
     }
   }
 }
@@ -204,10 +226,11 @@ TEST(RtCollectives, ReduceScatterLeavesOwnBlockReduced) {
 TEST(RtCollectives, ScanComputesInclusivePrefix) {
   constexpr int kRanks = 6;
   ShmWorld world(kRanks);
+  const auto schedule = coll::scan(kRanks, 1);
   std::array<double, kRanks> results{};
   world.run([&](Communicator& c) {
     std::vector<double> buf{static_cast<double>(c.rank() + 1)};
-    c.scan(buf, coll::ReduceOp::kSum);
+    c.run_schedule(schedule, buf, coll::ReduceOp::kSum);
     results[c.rank()] = buf[0];
   });
   for (int r = 0; r < kRanks; ++r) {

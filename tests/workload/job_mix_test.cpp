@@ -49,7 +49,6 @@ TEST(TraceGenerator, FieldsWithinConfiguredRanges) {
   cfg.min_runtime = 10.0;
   cfg.max_runtime = 1000.0;
   cfg.max_overestimate = 3.0;
-  cfg.priority_levels = 4;
   const auto jobs = make_multi_user_trace(cfg, 7);
   for (const rm::JobSpec& j : jobs) {
     EXPECT_GE(j.width, 1u);
@@ -60,8 +59,6 @@ TEST(TraceGenerator, FieldsWithinConfiguredRanges) {
     EXPECT_LE(j.estimate, 3.0 * j.runtime + 1e-6);
     EXPECT_LT(j.user, cfg.users);
     EXPECT_EQ(j.account, j.user % cfg.accounts);
-    EXPECT_GE(j.priority, 0);
-    EXPECT_LT(j.priority, 4);
   }
 }
 
@@ -83,9 +80,9 @@ TEST(TraceGenerator, PowerOfTwoBias) {
 }
 
 TEST(TraceGenerator, SingleUserStreamPinsF7Trace) {
-  // F7's 128-node grid trace.  One user, one priority level and every job
-  // preemptible draw nothing per job beyond the Feitelson fields, so these
-  // are the values the F7 experiment has always replayed.
+  // F7's 128-node grid trace.  One user draws nothing per job beyond the
+  // Feitelson fields, so these are the values the F7 experiment has always
+  // replayed.
   MultiUserTraceConfig cfg = single_user(10000);
   cfg.mean_interarrival = 4400.0;
   const auto jobs = make_multi_user_trace(cfg, 42);
@@ -107,7 +104,6 @@ TEST(TraceGenerator, SingleUserStreamPinsF7Trace) {
     EXPECT_EQ(jobs[i].runtime, pins[i].runtime) << "job " << i;
     EXPECT_EQ(jobs[i].estimate, pins[i].estimate) << "job " << i;
     EXPECT_EQ(jobs[i].user, 0u);
-    EXPECT_TRUE(jobs[i].preemptible);
   }
   EXPECT_EQ(jobs.back().submit, 43987836.270093672);
   EXPECT_EQ(jobs.back().runtime, 2915.3934241731986);

@@ -1,15 +1,15 @@
 // D7 — observability overhead: what tracing and metrics cost the hot paths
 // they watch.  The claim under test: ring-buffer tracing over interned names
 // is near-zero-cost — cheap enough to leave armed on million-rank runs — and
-// an attached-but-disabled tracer is indistinguishable from none at all.
+// a tracer attached and then detached is indistinguishable from none at all.
 //
 // Three representative hot loops, each run three ways:
 //
 //   untraced  tracer detached — the null-pointer branches the seed shipped
-//   idle      ring tracer attached, tracing gated off: the record-path
-//             pointer IS the enable flag, so this is the same null branch
-//             the untraced run pays
-//   armed     ring tracer enabled, 1-in-128 sampling: counters always on,
+//   idle      ring tracer attached, then detached: the record-path pointer
+//             is the only tracing switch, so this is the untraced code path
+//             by construction
+//   armed     ring tracer attached, 1-in-128 sampling: counters always on,
 //             every Nth event pushed into a bounded SPSC ring
 //
 //   1. compute loop   (D1 shape): 4 simulated ranks spinning compute spans
@@ -22,8 +22,8 @@
 // per-message instrumentation density) that is reported but not gated.
 //
 // Methodology: ONE world per workload; the variant is toggled per trial via
-// detach_tracer / attach_tracer + set_tracing_enabled, so all variants share
-// the same engine, memory layout and coroutine allocation pattern.  Every
+// attach_tracer / detach_tracer, so all variants share the same engine,
+// memory layout and coroutine allocation pattern.  Every
 // idle/armed trial is bracketed by two untraced runs and compared against
 // the bracket mean (cancelling linear drift); the reported overhead is the
 // median over the brackets, which is robust to frequency shifts and
@@ -244,12 +244,8 @@ int main() {
     compute = measure(
         trials,
         [&](Variant v) {
-          if (v == kUntraced) {
-            world.detach_tracer();
-          } else {
-            world.attach_tracer(tracer);
-            world.set_tracing_enabled(v == kArmed);
-          }
+          world.attach_tracer(tracer);
+          if (v != kArmed) world.detach_tracer();
         },
         [&] {
           world.launch([rounds = comp_rounds](
@@ -288,12 +284,8 @@ int main() {
     fabric_m = measure(
         trials,
         [&](Variant v) {
-          if (v == kUntraced) {
-            net.detach_tracer();
-          } else {
-            net.attach_tracer(tracer);
-            net.set_tracing_enabled(v == kArmed);
-          }
+          net.attach_tracer(tracer);
+          if (v != kArmed) net.detach_tracer();
         },
         [&] {
           for (std::size_t s = 0; s < senders; ++s) {
@@ -342,12 +334,8 @@ int main() {
     halo = measure(
         trials,
         [&](Variant v) {
-          if (v == kUntraced) {
-            world.detach_tracer();
-          } else {
-            world.attach_tracer(tracer);
-            world.set_tracing_enabled(v == kArmed);
-          }
+          world.attach_tracer(tracer);
+          if (v != kArmed) world.detach_tracer();
         },
         [&] {
           world.launch([rounds = halo_rounds](
@@ -397,12 +385,8 @@ int main() {
     pingpong = measure(
         trials,
         [&](Variant v) {
-          if (v == kUntraced) {
-            world.detach_tracer();
-          } else {
-            world.attach_tracer(tracer);
-            world.set_tracing_enabled(v == kArmed);
-          }
+          world.attach_tracer(tracer);
+          if (v != kArmed) world.detach_tracer();
         },
         [&] {
           world.launch([rounds = pp_rounds](

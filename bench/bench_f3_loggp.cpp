@@ -57,9 +57,11 @@ int main() {
     if (!p.os_bypass || (p.reg_base == 0.0 && p.reg_per_page == 0.0)) {
       continue;
     }
-    const double one_reg =
-        p.reg_base + p.reg_per_page * (64.0 * 1024.0 / 4096.0);
-    const double uncached = 1000.0 * 2.0 * one_reg;
+    const auto big = p.rdma ? msg::Protocol::kRdma : msg::Protocol::kRendezvous;
+    const double uncached =
+        1000.0 * msg::cost_model(p, big, 64 * 1024, 1,
+                                 /*registration_cached=*/false)
+                     .registration;
     msg::RegistrationCache cache(64u << 20, p.reg_base, p.reg_per_page);
     double cached = 0.0;
     for (int i = 0; i < 1000; ++i) {

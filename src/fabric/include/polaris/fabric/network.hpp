@@ -44,7 +44,10 @@
 // does not justify a std::list + unordered_map's allocations): a transfer
 // to a destination without an established light path first pays the
 // reconfiguration delay.  Setup is modelled optimistically (concurrent
-// transfers to the same destination wait only once); see ensure_circuit().
+// transfers to the same destination wait only once); see circuit_ready().
+//
+// There is one transfer entry, transfer_raw(); transfer() is an awaiter
+// over it, so a coroutine's transfer creates no frame of its own.
 //
 // Host-side overheads (o_send, o_recv, gap, copies, registration) are NOT
 // applied here — they belong to the messaging layer (polaris::msg), which
@@ -54,16 +57,14 @@
 #include <array>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
 #include "polaris/des/engine.hpp"
-#include "polaris/des/task.hpp"
 #include "polaris/fabric/params.hpp"
 #include "polaris/fabric/topology.hpp"
 #include "polaris/obs/trace.hpp"
-#include "polaris/support/check.hpp"
+#include "polaris/support/slab_pool.hpp"
 
 namespace polaris::fabric {
 
@@ -145,19 +146,45 @@ class SimNetwork {
   SimNetwork(des::Engine& engine, FabricParams params,
              const Topology& topology);
 
-  /// Moves `bytes` from src to dst; completes when the last byte lands (or
-  /// when a fault kills the message — see XferStatus).  Self-transfers cost
-  /// one host copy.  Zero-byte transfers pay propagation (and circuit
-  /// setup) only — no serialization.  Does not include host overheads.
-  des::Task<XferStatus> transfer(NodeId src, NodeId dst, std::uint64_t bytes);
-
-  /// Raw-callback form of transfer() for allocation-free callers (e.g. the
-  /// simrt eager delivery chain): identical event sequence and simulated
-  /// timing, but completion invokes `done(ctx, status)` at the exact point
-  /// the coroutine form would have resumed — no coroutine frame is created.
-  /// `ctx` must stay valid until `done` fires.
+  /// Moves `bytes` from src to dst and calls `done(ctx, status)` when the
+  /// last byte lands (or when a fault kills the message — see XferStatus),
+  /// never before this call returns.  Self-transfers cost one host copy.
+  /// Zero-byte transfers pay propagation (and circuit setup) only — no
+  /// serialization.  Does not include host overheads.  `ctx` must stay
+  /// valid until `done` fires.
   void transfer_raw(NodeId src, NodeId dst, std::uint64_t bytes, DoneFn done,
                     void* ctx);
+
+  /// Awaiter over transfer_raw(): suspending starts the transfer with the
+  /// awaiter as its completion context, and the callback stores the status
+  /// and resumes the coroutine.  Lives in the awaiting coroutine's frame.
+  struct [[nodiscard]] TransferAwaiter {
+    SimNetwork& net;
+    NodeId src;
+    NodeId dst;
+    std::uint64_t bytes;
+    std::coroutine_handle<> handle{};
+    XferStatus status = XferStatus::kOk;
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      handle = h;
+      net.transfer_raw(src, dst, bytes, &resume_cb, this);
+    }
+    XferStatus await_resume() const noexcept { return status; }
+
+    static void resume_cb(void* ctx, XferStatus status) {
+      auto& self = *static_cast<TransferAwaiter*>(ctx);
+      self.status = status;
+      self.handle.resume();
+    }
+  };
+
+  /// `co_await net.transfer(src, dst, bytes)`: transfer_raw() for
+  /// coroutines, with the same events and timing.
+  TransferAwaiter transfer(NodeId src, NodeId dst, std::uint64_t bytes) {
+    return TransferAwaiter{*this, src, dst, bytes};
+  }
 
   // -- fault injection --------------------------------------------------------
   // Disabled by default: the checks below compile to one untaken branch per
@@ -211,16 +238,6 @@ class SimNetwork {
   /// without creating duplicates.
   void detach_tracer() { tracer_ = nullptr; }
 
-  /// Cheap enable gate over the bound tracer: the record-path pointer
-  /// itself is the flag, so disabled tracing costs exactly the
-  /// null-pointer branch an untraced run pays — no per-event enabled
-  /// check.  Requires a prior attach_tracer; tracks and interned names
-  /// are untouched either way.
-  void set_tracing_enabled(bool on) {
-    POLARIS_CHECK(bound_tracer_ != nullptr);
-    tracer_ = on ? bound_tracer_ : nullptr;
-  }
-
   /// Busy seconds accumulated on one link (serialization occupancy).
   double link_busy_seconds(LinkId id) const;
 
@@ -245,9 +262,7 @@ class SimNetwork {
   };
 
   // -- tier 1: analytic flights ----------------------------------------------
-  // Both tiers complete through a raw (fn, ctx) pair; the coroutine form of
-  // transfer() passes resume_handle_cb + its own handle, transfer_raw()
-  // passes the caller's callback straight through.
+  // Both tiers complete through the caller's raw (fn, ctx) pair.
   struct Flight {
     SimNetwork* net = nullptr;
     const std::vector<LinkId>* path = nullptr;  // borrowed from Topology cache
@@ -300,28 +315,8 @@ class SimNetwork {
     XferStatus status = XferStatus::kOk;
   };
 
-  /// Awaits message delivery; suspension injects the message with the
-  /// awaiter itself as the completion context, which stores the status
-  /// before resuming the coroutine.
-  struct InjectAwaiter {
-    SimNetwork& net;
-    NodeId src;
-    NodeId dst;
-    std::uint64_t bytes;
-    std::coroutine_handle<> handle{};
-    XferStatus status = XferStatus::kOk;
-
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      net.inject(src, dst, bytes, &resume_awaiter_cb, this);
-    }
-    XferStatus await_resume() const noexcept { return status; }
-  };
-
-  /// Post-circuit injection shared by both transfer forms: path selection,
-  /// fault check, packet planning, flight materialization, idle-path test,
-  /// then tier dispatch.
+  /// Post-circuit injection: path selection, fault check, packet
+  /// planning, flight materialization, idle-path test, then tier dispatch.
   void inject(NodeId src, NodeId dst, std::uint64_t bytes, DoneFn done,
               void* ctx);
 
@@ -354,28 +349,27 @@ class SimNetwork {
 
   static void flight_complete_cb(void* ctx);
   static void walker_arrive_cb(void* ctx);
-  static void resume_awaiter_cb(void* ctx, XferStatus status);
   static void raw_setup_done_cb(void* ctx);
   static void deliver_status_cb(void* ctx);
 
-  Flight& acquire_flight();
-  void release_flight(std::uint32_t slot);
-  WalkMessage& acquire_walk();
-  void release_walk(std::uint32_t slot);
-  RawTransfer& acquire_raw();
-  void release_raw(std::uint32_t slot);
+  /// A record from `pool`, stamped with this network and its own slot.
+  template <typename T>
+  T& take(support::SlabPool<T>& pool) {
+    const std::uint32_t slot = pool.acquire();
+    T& r = pool[slot];
+    r.net = this;
+    r.slot = slot;
+    return r;
+  }
 
-  /// Circuit-cache lookup shared by both transfer forms: true on a hit
-  /// (stats/trace recorded); on a miss records the setup span and installs
-  /// the circuit optimistically — the caller pays params_.circuit_setup
-  /// before injecting.
+  /// Circuit-cache lookup: true on a hit (stats/trace recorded); on a miss
+  /// records the setup span and installs the circuit optimistically — the
+  /// caller pays params_.circuit_setup before injecting.
   bool circuit_ready(NodeId src, NodeId dst);
 
   /// Serialization occupancy bookkeeping shared by both tiers.
   void credit_link(LinkId l, des::SimTime start, des::SimTime ser,
                    std::uint32_t span_packets);
-
-  des::Task<void> ensure_circuit(NodeId src, NodeId dst);
 
   /// Lazily-created trace track of a link (only called when tracer_ set).
   obs::TrackId link_track(LinkId id);
@@ -395,14 +389,10 @@ class SimNetwork {
   std::vector<std::uint8_t> node_down_;
   std::vector<std::uint8_t> link_down_;
 
-  // Slab pools (deque: grows without moving live flight/walker addresses,
-  // which raw-callback contexts point into).
-  std::deque<Flight> flights_;
-  std::vector<std::uint32_t> flight_free_;
-  std::deque<WalkMessage> walks_;
-  std::vector<std::uint32_t> walk_free_;
-  std::deque<RawTransfer> raw_transfers_;
-  std::vector<std::uint32_t> raw_free_;
+  // Raw-callback contexts point into these records.
+  support::SlabPool<Flight> flights_;
+  support::SlabPool<WalkMessage> walks_;
+  support::SlabPool<RawTransfer> raw_transfers_;
 
   NetworkStats stats_;
   obs::Tracer* tracer_ = nullptr;

@@ -14,8 +14,9 @@
 // Pairs with redundant fabric additionally expose their full *equal-cost
 // minimal path set* (route_choices / route_k): every ECMP uplink+core
 // combination in the fat tree, every dimension-traversal order in the
-// torus.  Choice 0 is always the deterministic oblivious route, so a
-// consumer that never asks for k > 0 sees exactly the historical paths;
+// torus.  One generator per topology, compute_route(src, dst, k), yields
+// them all; choice 0 is the deterministic oblivious route, so a consumer
+// that never asks for k > 0 sees exactly the historical paths.
 // fabric::SimNetwork's adaptive routing mode picks among the alternates
 // by live link occupancy.
 #pragma once
@@ -96,21 +97,20 @@ class Topology {
   /// Looks up an existing directed link; throws if absent (routing bug).
   LinkId link_between(DeviceId u, DeviceId v) const;
 
-  /// Subclasses produce the path; the base class caches it.
-  virtual std::vector<LinkId> compute_route(NodeId src, NodeId dst) const = 0;
-
-  /// The k-th alternate path, called only with 0 < k < route_choices().
-  /// Topologies that report route_choices() == 1 never see a call.
-  virtual std::vector<LinkId> compute_route_k(NodeId src, NodeId dst,
-                                              std::size_t k) const;
+  /// Subclasses produce the k-th path, k < route_choices(src, dst) (k = 0:
+  /// the oblivious path); the base class caches it.
+  virtual std::vector<LinkId> compute_route(NodeId src, NodeId dst,
+                                            std::size_t k) const = 0;
 
   std::size_t node_count_;
   std::size_t switch_count_;
 
  private:
+  // Two caches: route()'s (src, dst) key takes any host count, while the
+  // (src, dst, k) packing of the k > 0 paths needs fewer than 2^24 hosts.
   mutable std::unordered_map<std::uint64_t, std::vector<LinkId>> route_cache_;
   mutable std::unordered_map<std::uint64_t, std::vector<LinkId>>
-      alt_route_cache_;  ///< k > 0 paths, keyed (src, dst, k)
+      alt_route_cache_;
   std::unordered_map<std::uint64_t, LinkId> link_ids_;
   std::vector<std::pair<DeviceId, DeviceId>> link_ends_;
 };
@@ -126,7 +126,8 @@ class Crossbar final : public Topology {
   std::size_t diameter() const override { return 2; }
 
  private:
-  std::vector<LinkId> compute_route(NodeId src, NodeId dst) const override;
+  std::vector<LinkId> compute_route(NodeId src, NodeId dst,
+                                    std::size_t k) const override;
 };
 
 /// Three-level k-ary fat tree: k pods of k/2 edge + k/2 aggregation
@@ -150,9 +151,8 @@ class FatTree final : public Topology {
   std::size_t route_choices(NodeId src, NodeId dst) const override;
 
  private:
-  std::vector<LinkId> compute_route(NodeId src, NodeId dst) const override;
-  std::vector<LinkId> compute_route_k(NodeId src, NodeId dst,
-                                      std::size_t k) const override;
+  std::vector<LinkId> compute_route(NodeId src, NodeId dst,
+                                    std::size_t k) const override;
 
   // Device numbering helpers (hosts are 0..k^3/4-1).
   DeviceId edge_switch(std::size_t pod, std::size_t idx) const;
@@ -180,9 +180,8 @@ class Torus2D final : public Topology {
   std::size_t route_choices(NodeId src, NodeId dst) const override;
 
  private:
-  std::vector<LinkId> compute_route(NodeId src, NodeId dst) const override;
-  std::vector<LinkId> compute_route_k(NodeId src, NodeId dst,
-                                      std::size_t k) const override;
+  std::vector<LinkId> compute_route(NodeId src, NodeId dst,
+                                    std::size_t k) const override;
   DeviceId router(std::size_t x, std::size_t y) const;
 
   std::size_t w_, h_;

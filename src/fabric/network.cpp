@@ -37,30 +37,6 @@ SimNetwork::PacketPlan SimNetwork::plan_packets(std::uint64_t bytes) const {
   return plan;
 }
 
-des::Task<XferStatus> SimNetwork::transfer(NodeId src, NodeId dst,
-                                           std::uint64_t bytes) {
-  POLARIS_CHECK(src < topo_.node_count() && dst < topo_.node_count());
-  ++stats_.messages;
-  stats_.bytes += bytes;
-
-  if (src == dst) {
-    if (faults_enabled_ && node_down_[src] != 0) {
-      ++stats_.messages_dropped;
-      co_return XferStatus::kNodeDown;
-    }
-    // Intra-node: one host copy.
-    const double t = static_cast<double>(bytes) / params_.copy_bw;
-    co_await des::delay(engine_, des::from_seconds(t));
-    co_return XferStatus::kOk;
-  }
-
-  if (params_.circuit_setup > 0.0) {
-    co_await ensure_circuit(src, dst);
-  }
-
-  co_return co_await InjectAwaiter{*this, src, dst, bytes};
-}
-
 void SimNetwork::transfer_raw(NodeId src, NodeId dst, std::uint64_t bytes,
                               DoneFn done, void* ctx) {
   POLARIS_CHECK(src < topo_.node_count() && dst < topo_.node_count());
@@ -73,10 +49,9 @@ void SimNetwork::transfer_raw(NodeId src, NodeId dst, std::uint64_t bytes,
       deliver_async(done, ctx, XferStatus::kNodeDown);
       return;
     }
-    // Intra-node: one host copy — one event, as the coroutine form's
-    // delay would have scheduled.
+    // Intra-node: one host copy, one event.
     const double t = static_cast<double>(bytes) / params_.copy_bw;
-    RawTransfer& rt = acquire_raw();
+    RawTransfer& rt = take(raw_transfers_);
     rt.done = done;
     rt.ctx = ctx;
     rt.status = XferStatus::kOk;
@@ -86,8 +61,8 @@ void SimNetwork::transfer_raw(NodeId src, NodeId dst, std::uint64_t bytes,
 
   if (params_.circuit_setup > 0.0 && !circuit_ready(src, dst)) {
     // Park behind the reconfiguration delay in a pooled record, then
-    // inject — the same single event ensure_circuit() awaits on a miss.
-    RawTransfer& rt = acquire_raw();
+    // inject.
+    RawTransfer& rt = take(raw_transfers_);
     rt.src = src;
     rt.dst = dst;
     rt.bytes = bytes;
@@ -109,7 +84,7 @@ void SimNetwork::raw_setup_done_cb(void* ctx) {
   const std::uint64_t bytes = rt.bytes;
   const DoneFn done = rt.done;
   void* done_ctx = rt.ctx;
-  net->release_raw(rt.slot);
+  net->raw_transfers_.release(rt.slot);
   net->inject(src, dst, bytes, done, done_ctx);
 }
 
@@ -222,7 +197,7 @@ void SimNetwork::begin_flight(NodeId src, NodeId dst,
                               const std::vector<LinkId>& path,
                               des::SimTime ser, std::uint32_t packets,
                               DoneFn done, void* ctx) {
-  Flight& f = acquire_flight();
+  Flight& f = take(flights_);
   f.path = &path;
   f.start = engine_.now();
   f.ser = ser;
@@ -267,7 +242,8 @@ void SimNetwork::complete_flight(Flight& f, bool defer_resume) {
   ++stats_.messages_bypassed;
   const DoneFn done = f.done_fn;
   void* ctx = f.done_ctx;
-  release_flight(f.slot);
+  f.active = false;
+  flights_.release(f.slot);
   if (defer_resume) {
     // Settled from inside another message's injection: complete after the
     // current event, as the cancelled completion event would have.
@@ -294,7 +270,7 @@ void SimNetwork::materialize_flight(Flight& f) {
   }
   ++stats_.flights_materialized;
 
-  WalkMessage& m = acquire_walk();
+  WalkMessage& m = take(walks_);
   m.path = f.path;
   m.ser = ser;
   m.remaining = 0;
@@ -360,7 +336,8 @@ void SimNetwork::materialize_flight(Flight& f) {
   }
   // The walk inherits the flight's in-flight marks on every path link.
   for (const LinkId l : path) links_[l].flight = kNoFlight;
-  release_flight(f.slot);
+  f.active = false;
+  flights_.release(f.slot);
 }
 
 // ------------------------------------------------------- tier 2: walkers
@@ -368,7 +345,7 @@ void SimNetwork::materialize_flight(Flight& f) {
 void SimNetwork::begin_walk(NodeId src, NodeId dst,
                             const std::vector<LinkId>& path, des::SimTime ser,
                             std::uint32_t packets, DoneFn done, void* ctx) {
-  WalkMessage& m = acquire_walk();
+  WalkMessage& m = take(walks_);
   m.path = &path;
   m.ser = ser;
   m.remaining = packets;
@@ -424,7 +401,8 @@ void SimNetwork::finish_walk_packet(WalkMessage& m) {
   if (!m.from_flight) ++stats_.messages_walked;
   const DoneFn done = m.done_fn;
   void* ctx = m.done_ctx;
-  release_walk(m.slot);
+  m.active = false;
+  walks_.release(m.slot);
   done(ctx, XferStatus::kOk);
 }
 
@@ -480,7 +458,7 @@ void SimNetwork::set_link_up(LinkId link, bool up) {
 }
 
 void SimNetwork::deliver_async(DoneFn done, void* ctx, XferStatus status) {
-  RawTransfer& rt = acquire_raw();
+  RawTransfer& rt = take(raw_transfers_);
   rt.done = done;
   rt.ctx = ctx;
   rt.status = status;
@@ -493,7 +471,7 @@ void SimNetwork::deliver_status_cb(void* ctx) {
   const DoneFn done = rt.done;
   void* done_ctx = rt.ctx;
   const XferStatus status = rt.status;
-  net->release_raw(rt.slot);
+  net->raw_transfers_.release(rt.slot);
   done(done_ctx, status);
 }
 
@@ -507,7 +485,8 @@ void SimNetwork::kill_flight(Flight& f, XferStatus status) {
   ++stats_.messages_dropped;
   const DoneFn done = f.done_fn;
   void* ctx = f.done_ctx;
-  release_flight(f.slot);
+  f.active = false;
+  flights_.release(f.slot);
   deliver_async(done, ctx, status);
 }
 
@@ -521,7 +500,8 @@ void SimNetwork::kill_walk(WalkMessage& m, XferStatus status) {
   ++stats_.messages_dropped;
   const DoneFn done = m.done_fn;
   void* ctx = m.done_ctx;
-  release_walk(m.slot);
+  m.active = false;
+  walks_.release(m.slot);
   deliver_async(done, ctx, status);
 }
 
@@ -538,74 +518,6 @@ void SimNetwork::credit_link(LinkId l, des::SimTime begin, des::SimTime ser,
     tracer_->complete_span(link_track(l), busy_id_, cat_link_id_, begin,
                            busy);
   }
-}
-
-void SimNetwork::resume_awaiter_cb(void* ctx, XferStatus status) {
-  auto& awaiter = *static_cast<InjectAwaiter*>(ctx);
-  awaiter.status = status;
-  awaiter.handle.resume();
-}
-
-SimNetwork::Flight& SimNetwork::acquire_flight() {
-  if (!flight_free_.empty()) {
-    const std::uint32_t slot = flight_free_.back();
-    flight_free_.pop_back();
-    return flights_[slot];
-  }
-  const auto slot = static_cast<std::uint32_t>(flights_.size());
-  flights_.emplace_back();
-  Flight& f = flights_.back();
-  f.net = this;
-  f.slot = slot;
-  return f;
-}
-
-void SimNetwork::release_flight(std::uint32_t slot) {
-  flights_[slot].done_fn = nullptr;
-  flights_[slot].done_ctx = nullptr;
-  flights_[slot].active = false;
-  flight_free_.push_back(slot);
-}
-
-SimNetwork::WalkMessage& SimNetwork::acquire_walk() {
-  if (!walk_free_.empty()) {
-    const std::uint32_t slot = walk_free_.back();
-    walk_free_.pop_back();
-    return walks_[slot];
-  }
-  const auto slot = static_cast<std::uint32_t>(walks_.size());
-  walks_.emplace_back();
-  WalkMessage& m = walks_.back();
-  m.net = this;
-  m.slot = slot;
-  return m;
-}
-
-void SimNetwork::release_walk(std::uint32_t slot) {
-  walks_[slot].done_fn = nullptr;
-  walks_[slot].done_ctx = nullptr;
-  walks_[slot].active = false;
-  walk_free_.push_back(slot);
-}
-
-SimNetwork::RawTransfer& SimNetwork::acquire_raw() {
-  if (!raw_free_.empty()) {
-    const std::uint32_t slot = raw_free_.back();
-    raw_free_.pop_back();
-    return raw_transfers_[slot];
-  }
-  const auto slot = static_cast<std::uint32_t>(raw_transfers_.size());
-  raw_transfers_.emplace_back();
-  RawTransfer& rt = raw_transfers_.back();
-  rt.net = this;
-  rt.slot = slot;
-  return rt;
-}
-
-void SimNetwork::release_raw(std::uint32_t slot) {
-  raw_transfers_[slot].done = nullptr;
-  raw_transfers_[slot].ctx = nullptr;
-  raw_free_.push_back(slot);
 }
 
 // ---------------------------------------------------------------- circuits
@@ -651,11 +563,6 @@ bool SimNetwork::circuit_ready(NodeId src, NodeId dst) {
   // pay setup once (optimistic: their data rides the path being set up).
   cache.insert(dst);
   return false;
-}
-
-des::Task<void> SimNetwork::ensure_circuit(NodeId src, NodeId dst) {
-  if (circuit_ready(src, dst)) co_return;
-  co_await des::delay(engine_, des::from_seconds(params_.circuit_setup));
 }
 
 // ------------------------------------------------------------------ queries

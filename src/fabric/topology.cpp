@@ -18,7 +18,7 @@ const std::vector<LinkId>& Topology::route(NodeId src, NodeId dst) const {
   if (auto it = route_cache_.find(key); it != route_cache_.end()) {
     return it->second;
   }
-  auto [it, inserted] = route_cache_.emplace(key, compute_route(src, dst));
+  auto [it, inserted] = route_cache_.emplace(key, compute_route(src, dst, 0));
   return it->second;
 }
 
@@ -38,17 +38,8 @@ const std::vector<LinkId>& Topology::route_k(NodeId src, NodeId dst,
     return it->second;
   }
   auto [it, inserted] =
-      alt_route_cache_.emplace(key, compute_route_k(src, dst, k));
+      alt_route_cache_.emplace(key, compute_route(src, dst, k));
   return it->second;
-}
-
-std::vector<LinkId> Topology::compute_route_k(NodeId src, NodeId dst,
-                                              std::size_t k) const {
-  (void)src;
-  (void)dst;
-  (void)k;
-  POLARIS_CHECK_MSG(false, "topology reported alternates it cannot compute");
-  return {};
 }
 
 LinkId Topology::link(DeviceId u, DeviceId v) {
@@ -79,7 +70,8 @@ Crossbar::Crossbar(std::size_t nodes) : Topology(nodes, 1) {
   }
 }
 
-std::vector<LinkId> Crossbar::compute_route(NodeId src, NodeId dst) const {
+std::vector<LinkId> Crossbar::compute_route(NodeId src, NodeId dst,
+                                            std::size_t /*k*/) const {
   if (src == dst) return {};
   const DeviceId sw = static_cast<DeviceId>(node_count_);
   return {link_between(src, sw), link_between(sw, dst)};
@@ -143,51 +135,6 @@ DeviceId FatTree::core_switch(std::size_t idx) const {
   return static_cast<DeviceId>(node_count_ + 2 * k_ * (k_ / 2) + idx);
 }
 
-std::vector<LinkId> FatTree::compute_route(NodeId src, NodeId dst) const {
-  if (src == dst) return {};
-  const std::size_t half = k_ / 2;
-  const std::size_t hosts_per_edge = half;
-  const std::size_t hosts_per_pod = half * half;
-
-  const std::size_t src_pod = src / hosts_per_pod;
-  const std::size_t dst_pod = dst / hosts_per_pod;
-  const std::size_t src_edge = (src % hosts_per_pod) / hosts_per_edge;
-  const std::size_t dst_edge = (dst % hosts_per_pod) / hosts_per_edge;
-
-  std::vector<LinkId> path;
-  const DeviceId se = edge_switch(src_pod, src_edge);
-  path.push_back(link_between(src, se));
-
-  if (src_pod == dst_pod && src_edge == dst_edge) {
-    path.push_back(link_between(se, dst));
-    return path;
-  }
-
-  // Destination-based deterministic uplink selection spreads flows.
-  const std::size_t agg_idx = dst % half;
-  if (src_pod == dst_pod) {
-    const DeviceId agg = agg_switch(src_pod, agg_idx);
-    const DeviceId de = edge_switch(dst_pod, dst_edge);
-    path.push_back(link_between(se, agg));
-    path.push_back(link_between(agg, de));
-    path.push_back(link_between(de, dst));
-    return path;
-  }
-
-  const std::size_t core_idx =
-      agg_idx * half + (dst / half) % half;  // within agg's uplink group
-  const DeviceId up_agg = agg_switch(src_pod, agg_idx);
-  const DeviceId core = core_switch(core_idx);
-  const DeviceId down_agg = agg_switch(dst_pod, agg_idx);
-  const DeviceId de = edge_switch(dst_pod, dst_edge);
-  path.push_back(link_between(se, up_agg));
-  path.push_back(link_between(up_agg, core));
-  path.push_back(link_between(core, down_agg));
-  path.push_back(link_between(down_agg, de));
-  path.push_back(link_between(de, dst));
-  return path;
-}
-
 std::size_t FatTree::route_choices(NodeId src, NodeId dst) const {
   if (src == dst) return 1;
   const std::size_t half = k_ / 2;
@@ -201,8 +148,9 @@ std::size_t FatTree::route_choices(NodeId src, NodeId dst) const {
   return 1;  // same edge switch: single two-link path
 }
 
-std::vector<LinkId> FatTree::compute_route_k(NodeId src, NodeId dst,
-                                             std::size_t k) const {
+std::vector<LinkId> FatTree::compute_route(NodeId src, NodeId dst,
+                                           std::size_t k) const {
+  if (src == dst) return {};
   const std::size_t half = k_ / 2;
   const std::size_t hosts_per_pod = half * half;
   const std::size_t src_pod = src / hosts_per_pod;
@@ -215,10 +163,14 @@ std::vector<LinkId> FatTree::compute_route_k(NodeId src, NodeId dst,
   const DeviceId de = edge_switch(dst_pod, dst_edge);
   path.push_back(link_between(src, se));
 
+  if (src_pod == dst_pod && src_edge == dst_edge) {
+    path.push_back(link_between(se, dst));
+    return path;
+  }
+
   if (src_pod == dst_pod) {
-    // Rotate the aggregation choice off the oblivious dst % half pick, so
-    // k == 0 would reproduce compute_route exactly (it is never called
-    // with 0; the rotation keeps the two enumerations aligned anyway).
+    // The oblivious path takes aggregation switch dst % half, which
+    // spreads flows by destination; choice k rotates off it.
     const DeviceId agg = agg_switch(src_pod, (dst % half + k) % half);
     path.push_back(link_between(se, agg));
     path.push_back(link_between(agg, de));
@@ -228,7 +180,8 @@ std::vector<LinkId> FatTree::compute_route_k(NodeId src, NodeId dst,
 
   // Cross-pod: each core switch gives exactly one minimal path, and the
   // core determines the aggregation switch on both sides (core c hangs off
-  // agg c / half in every pod).  Rotate off the oblivious core.
+  // agg c / half in every pod).  The oblivious core sits in the uplink
+  // group of agg dst % half; choice k rotates off it.
   const std::size_t base_core = (dst % half) * half + (dst / half) % half;
   const std::size_t core_idx = (base_core + k) % (half * half);
   const std::size_t agg_idx = core_idx / half;
@@ -285,30 +238,6 @@ std::pair<int, std::size_t> ring_steps(std::size_t a, std::size_t b,
 }
 }  // namespace
 
-std::vector<LinkId> Torus2D::compute_route(NodeId src, NodeId dst) const {
-  if (src == dst) return {};
-  std::size_t x = src % w_, y = src / w_;
-  const std::size_t dx = dst % w_, dy = dst / w_;
-
-  std::vector<LinkId> path;
-  path.push_back(link_between(src, router(x, y)));
-
-  auto [sx, nx] = ring_steps(x, dx, w_);
-  for (std::size_t i = 0; i < nx; ++i) {
-    const std::size_t x2 = (x + w_ + static_cast<std::size_t>(sx)) % w_;
-    path.push_back(link_between(router(x, y), router(x2, y)));
-    x = x2;
-  }
-  auto [sy, ny] = ring_steps(y, dy, h_);
-  for (std::size_t i = 0; i < ny; ++i) {
-    const std::size_t y2 = (y + h_ + static_cast<std::size_t>(sy)) % h_;
-    path.push_back(link_between(router(x, y), router(x, y2)));
-    y = y2;
-  }
-  path.push_back(link_between(router(x, y), dst));
-  return path;
-}
-
 std::size_t Torus2D::route_choices(NodeId src, NodeId dst) const {
   if (src == dst) return 1;
   const bool moves_x = src % w_ != dst % w_;
@@ -316,27 +245,28 @@ std::size_t Torus2D::route_choices(NodeId src, NodeId dst) const {
   return (moves_x && moves_y) ? 2 : 1;
 }
 
-std::vector<LinkId> Torus2D::compute_route_k(NodeId src, NodeId dst,
-                                             std::size_t k) const {
-  POLARIS_CHECK(k == 1);  // the only alternate: y-then-x dimension order
+std::vector<LinkId> Torus2D::compute_route(NodeId src, NodeId dst,
+                                           std::size_t k) const {
+  if (src == dst) return {};
   std::size_t x = src % w_, y = src / w_;
-  const std::size_t dx = dst % w_, dy = dst / w_;
 
   std::vector<LinkId> path;
   path.push_back(link_between(src, router(x, y)));
-
-  auto [sy, ny] = ring_steps(y, dy, h_);
-  for (std::size_t i = 0; i < ny; ++i) {
-    const std::size_t y2 = (y + h_ + static_cast<std::size_t>(sy)) % h_;
-    path.push_back(link_between(router(x, y), router(x, y2)));
-    y = y2;
-  }
-  auto [sx, nx] = ring_steps(x, dx, w_);
-  for (std::size_t i = 0; i < nx; ++i) {
-    const std::size_t x2 = (x + w_ + static_cast<std::size_t>(sx)) % w_;
-    path.push_back(link_between(router(x, y), router(x2, y)));
-    x = x2;
-  }
+  // Walks one dimension to the destination's coordinate, shortest way
+  // round its ring.
+  const auto walk = [&](bool along_x) {
+    std::size_t& at = along_x ? x : y;
+    const std::size_t n = along_x ? w_ : h_;
+    const auto [step, count] = ring_steps(at, along_x ? dst % w_ : dst / w_, n);
+    for (std::size_t i = 0; i < count; ++i) {
+      const DeviceId from = router(x, y);
+      at = (at + n + static_cast<std::size_t>(step)) % n;
+      path.push_back(link_between(from, router(x, y)));
+    }
+  };
+  // Choice 0 is dimension order x then y; choice 1 its mirror, y then x.
+  walk(k == 0);
+  walk(k != 0);
   path.push_back(link_between(router(x, y), dst));
   return path;
 }

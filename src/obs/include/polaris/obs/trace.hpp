@@ -11,12 +11,13 @@
 //
 // Instrumented code holds a `Tracer*` that is null until an observer
 // attaches; every hook is a branch on that pointer, so an untraced run
-// pays nothing else.
+// pays nothing else.  That pointer is the only tracing switch: detaching
+// (nulling it) stops recording, and a tracer records every call it gets.
 //
 // One record path.  Each track owns a single-producer/single-consumer log
-// of 32-byte compact events over interned name IDs.  record = a relaxed
-// enabled check, a deterministic 1-in-N sampling branch, and (if sampled) a
-// clock read plus one slot write — no lock, no string.  Always-on per-track
+// of 32-byte compact events over interned name IDs.  record = a
+// deterministic 1-in-N sampling branch and (if sampled) a clock read plus
+// one slot write — no lock, no string.  Always-on per-track
 // counters (span count, span nanoseconds) stay exact regardless of
 // sampling.  The log is either
 //
@@ -81,8 +82,7 @@ struct TraceEvent {
 };
 
 /// Handle for an open span: a (track, open-slot) pair.  An invalid id
-/// (disabled tracer, unsampled span, slot limit reached) makes end_span a
-/// no-op.
+/// (unsampled span, slot limit reached) makes end_span a no-op.
 struct SpanId {
   std::size_t index = std::numeric_limits<std::size_t>::max();
   bool valid() const {
@@ -292,14 +292,6 @@ class Tracer {
   /// Resolves an interned id (registry lookup under the intern mutex).
   std::string name_of(NameId id) const;
 
-  /// Master record switch.  While disabled every record call returns after
-  /// one relaxed atomic load — the "attached but idle" state benched in
-  /// BENCH_OBS.  Export and track registration still work.
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
   std::int64_t now_ns() const { return clock_ ? clock_->now_ns() : 0; }
 
   // Record calls.  Each string overload interns its names and calls the
@@ -310,11 +302,9 @@ class Tracer {
   /// current clock, and by a TraceStreamWriter only once it closes.
   SpanId begin_span(TrackId track, std::string_view name,
                     std::string_view category = {}) {
-    if (!enabled()) return SpanId{};
     return begin_span(track, intern(name), intern(category));
   }
   SpanId begin_span(TrackId track, NameId name, NameId category = kNoName) {
-    if (!enabled()) return SpanId{};
     // Sampled-away spans are counted and nothing else: no clock read, no
     // slot claim, no log lookup; the invalid id makes end_span a no-op.
     if (!tick(hot(track).spans_total)) return SpanId{};
@@ -330,12 +320,10 @@ class Tracer {
   void complete_span(TrackId track, std::string_view name,
                      std::string_view category, std::int64_t start_ns,
                      std::int64_t dur_ns) {
-    if (!enabled()) return;
     complete_span(track, intern(name), intern(category), start_ns, dur_ns);
   }
   void complete_span(TrackId track, NameId name, NameId category,
                      std::int64_t start_ns, std::int64_t dur_ns) {
-    if (!enabled()) return;
     POLARIS_DCHECK(dur_ns >= 0);
     detail::HotCounters& h = hot(track);
     // Duration is already known here, so the busy-ns counter stays exact
@@ -348,34 +336,28 @@ class Tracer {
   /// Point event at the current clock time.
   void instant(TrackId track, std::string_view name,
                std::string_view category = {}) {
-    if (!enabled()) return;
     instant(track, intern(name), intern(category));
   }
   void instant(TrackId track, NameId name, NameId category = kNoName) {
-    if (!enabled()) return;
     if (!tick(hot(track).instants_total)) return;
     // Clock read and log lookup only behind the sampling gate.
     record(track, now_ns(), 0, name, category, EventKind::kInstant);
   }
   void instant_at(TrackId track, std::string_view name,
                   std::string_view category, std::int64_t at_ns) {
-    if (!enabled()) return;
     instant_at(track, intern(name), intern(category), at_ns);
   }
   void instant_at(TrackId track, NameId name, NameId category,
                   std::int64_t at_ns) {
-    if (!enabled()) return;
     if (!tick(hot(track).instants_total)) return;
     record(track, at_ns, 0, name, category, EventKind::kInstant);
   }
 
   /// Samples a counter series (rendered as a stacked area in the viewer).
   void counter(TrackId track, std::string_view name, double value) {
-    if (!enabled()) return;
     counter(track, intern(name), value);
   }
   void counter(TrackId track, NameId name, double value) {
-    if (!enabled()) return;
     detail::bump(hot(track).counters_total);
     record(track, now_ns(),
            static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value)),
@@ -466,7 +448,6 @@ class Tracer {
 
   const ClockSource* clock_ = nullptr;
   const RingOptions opts_;
-  std::atomic<bool> enabled_{true};
   // Record-path hot members, grouped: the sampling mask and the dense
   // counter array base are read on every record call.
   std::uint64_t sample_mask_ = 0;

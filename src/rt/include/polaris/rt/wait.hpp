@@ -120,12 +120,11 @@ class SpinBarrier {
       if (gen_.load(std::memory_order_acquire) != gen) return;
       backoff.pause();
     }
-    std::uint64_t waits = 0;
     while (gen_.load(std::memory_order_acquire) == gen) {
-      ++waits;
+      // Counted on entry, so an observer sees a waiter park before it wakes.
+      parks_.fetch_add(1, std::memory_order_relaxed);
       gen_.wait(gen, std::memory_order_acquire);
     }
-    parks_.fetch_add(waits, std::memory_order_relaxed);
   }
 
   void arrive_and_wait() {
@@ -134,6 +133,7 @@ class SpinBarrier {
 
   /// Total blocking waits across all participants (idle-time
   /// observability): how often a waiter outlasted the spin and yield tiers.
+  /// A wait counts when it begins.
   std::uint64_t parks() const {
     return parks_.load(std::memory_order_relaxed);
   }

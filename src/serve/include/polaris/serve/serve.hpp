@@ -19,6 +19,8 @@
 //     distributed service times, FIFO-queueing the rest; request and
 //     response bytes ride fabric::SimNetwork::transfer_raw, so link
 //     contention, topology, routing mode and faults all shape the tail.
+//     Requests are support::SlabPool records, so the raw callbacks can
+//     carry their addresses.
 //   - End-to-end latency (arrival to response landed) is recorded in one
 //     obs::LogHistogram shared by every front-end (the sim runs on one
 //     thread); an optional time-bucketed timeline captures tail
@@ -44,6 +46,7 @@
 #include "polaris/obs/metrics.hpp"
 #include "polaris/support/arrival.hpp"
 #include "polaris/support/rng.hpp"
+#include "polaris/support/slab_pool.hpp"
 
 namespace polaris::serve {
 
@@ -187,9 +190,7 @@ class ServeSim : public fault::FaultListener {
   /// Live request records in the pool — measures in-flight work from the
   /// allocator side, independently of the counters, so a conservation
   /// monitor can cross-check the two.
-  std::size_t active_requests() const {
-    return requests_.size() - request_free_.size();
-  }
+  std::size_t active_requests() const { return requests_.in_use(); }
   /// p99 of everything recorded so far.
   double live_p99_us() const { return result_.p99_us(); }
 
@@ -205,7 +206,6 @@ class ServeSim : public fault::FaultListener {
     std::uint32_t shard = 0;
     std::uint32_t slot = 0;
     std::uint8_t failovers = 0;
-    bool active = false;
   };
 
   struct Frontend {
@@ -242,9 +242,6 @@ class ServeSim : public fault::FaultListener {
   void drop(Request& req);
   void reject(Request& req);
 
-  Request& acquire_request();
-  void release_request(std::uint32_t slot);
-
   ServeConfig cfg_;
   des::Engine engine_;
   std::unique_ptr<fabric::Topology> topo_;
@@ -254,8 +251,8 @@ class ServeSim : public fault::FaultListener {
   std::vector<Frontend> frontends_;
   std::vector<Shard> shards_;
 
-  std::deque<Request> requests_;
-  std::vector<std::uint32_t> request_free_;
+  /// Raw-callback contexts point at these records.
+  support::SlabPool<Request> requests_;
 
   des::SimTime duration_ticks_ = 0;
   des::SimTime warmup_ticks_ = 0;

@@ -110,31 +110,6 @@ bool ServeSim::shard_drained(std::size_t s) const {
          sh.outstanding == 0;
 }
 
-// ------------------------------------------------------------- request pool
-
-ServeSim::Request& ServeSim::acquire_request() {
-  if (!request_free_.empty()) {
-    const std::uint32_t slot = request_free_.back();
-    request_free_.pop_back();
-    Request& r = requests_[slot];
-    r.failovers = 0;
-    r.active = true;
-    return r;
-  }
-  const auto slot = static_cast<std::uint32_t>(requests_.size());
-  requests_.emplace_back();
-  Request& r = requests_.back();
-  r.sim = this;
-  r.slot = slot;
-  r.active = true;
-  return r;
-}
-
-void ServeSim::release_request(std::uint32_t slot) {
-  requests_[slot].active = false;
-  request_free_.push_back(slot);
-}
-
 // ------------------------------------------------------------ load balancing
 
 std::uint32_t ServeSim::pick_shard(Frontend& fe) {
@@ -185,7 +160,11 @@ void ServeSim::arrival_cb(void* ctx) {
   Frontend& fe = *static_cast<Frontend*>(ctx);
   ServeSim& sim = *fe.sim;
 
-  Request& req = sim.acquire_request();
+  const std::uint32_t slot = sim.requests_.acquire();
+  Request& req = sim.requests_[slot];
+  req.sim = &sim;
+  req.slot = slot;
+  req.failovers = 0;
   req.arrival = sim.engine_.now();
   req.frontend = fe.index;
   ++sim.result_.offered;
@@ -316,17 +295,17 @@ void ServeSim::complete(Request& req) {
         result_.timeline.size() - 1);
     result_.timeline[b].record(static_cast<std::uint64_t>(latency));
   }
-  release_request(req.slot);
+  requests_.release(req.slot);
 }
 
 void ServeSim::drop(Request& req) {
   ++result_.dropped;
-  release_request(req.slot);
+  requests_.release(req.slot);
 }
 
 void ServeSim::reject(Request& req) {
   ++result_.rejected;
-  release_request(req.slot);
+  requests_.release(req.slot);
 }
 
 // ------------------------------------------------------------------- faults

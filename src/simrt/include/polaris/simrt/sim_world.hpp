@@ -19,17 +19,19 @@
 // SimWorld answers "how long does it take on fabric X at scale N".
 //
 // Host-side hot path (simulated timing is bit-identical either way): every
-// message is a slab-pooled InFlight record addressed by slot+generation,
-// with no shared_ptr.  Its completion flags, and the join of a collective's
-// concurrent send+recv step, are intrusive des::OneShotEvents.  Eager wire
-// delivery runs as a raw-callback chain through
-// fabric::SimNetwork::transfer_raw (no spawned coroutine frame),
-// out-of-order network completions park in per-source ring buffers indexed
-// by sequence number, and nonblocking requests are pooled slot+generation
-// handles.  The coroutine frames a message still creates (send, recv and
-// the calls they await) come from des's thread-local frame recycler, so
-// once the pools and the recycler are warm the path makes no heap
-// allocation; bench_d3_msg checks that by counting global operator new.
+// message is an InFlight record in a support::SlabPool, addressed by
+// slot+generation, with no shared_ptr.  Its completion flags, and the join
+// of a collective's concurrent send+recv step, are intrusive
+// des::OneShotEvents.  Eager wire delivery runs as a raw-callback chain
+// through fabric::SimNetwork::transfer_raw (no spawned coroutine frame),
+// and a rendezvous leg awaits SimNetwork::transfer(), an awaiter over the
+// same call.  Out-of-order network completions park in per-source ring
+// buffers indexed by sequence number, and nonblocking requests are pooled
+// slot+generation handles.  The coroutine frames a message still creates
+// (send, recv and the calls they await) come from des's thread-local frame
+// recycler, so once the pools and the recycler are warm the path makes no
+// heap allocation; bench_d3_msg checks that by counting global operator
+// new.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +56,7 @@
 #include "polaris/obs/metrics.hpp"
 #include "polaris/obs/trace.hpp"
 #include "polaris/support/flat_map.hpp"
+#include "polaris/support/slab_pool.hpp"
 
 namespace polaris::fault {
 class Injector;
@@ -90,7 +93,7 @@ struct RetryPolicy {
 
 namespace detail {
 
-/// Slab-pooled per-message simulation record (one per send, owned by the
+/// Pooled per-message simulation record (one per send, owned by the
 /// SimWorld pool).  Released back to the pool when both sides are done:
 /// the sender-side protocol chain and the receiving recv_impl each hold
 /// one reference.
@@ -205,6 +208,7 @@ class SimRequest {
 
  private:
   friend class SimComm;
+  SimRequest(std::uint32_t slot, std::uint32_t gen) : slot_(slot), gen_(gen) {}
   std::uint32_t slot_ = kNilSlot;
   std::uint32_t gen_ = 0;
 };
@@ -286,7 +290,9 @@ class SimComm {
     return matcher_.posted_pool_capacity() +
            matcher_.unexpected_pool_capacity();
   }
-  std::size_t request_pool_capacity() const { return request_pool_.size(); }
+  std::size_t request_pool_capacity() const {
+    return request_pool_.capacity();
+  }
   std::size_t max_held_depth() const { return max_held_; }
 
   /// This rank's trace track (valid after SimWorld::attach_tracer); user
@@ -310,7 +316,8 @@ class SimComm {
     bool timed_out = false;
   };
 
-  /// Pooled nonblocking-request record behind a SimRequest handle.
+  /// Pooled nonblocking-request record behind a SimRequest handle; reset
+  /// when its handle is waited.
   struct Request {
     des::OneShotEvent done;
     SimRecvStatus status;
@@ -374,11 +381,6 @@ class SimComm {
   void deliver_to_matcher(std::uint32_t inflight_slot);
   void hold_out_of_order(int src, std::uint32_t inflight_slot);
 
-  std::uint32_t acquire_pending();
-  void release_pending(std::uint32_t slot);
-  SimRequest acquire_request();
-  void release_request(std::uint32_t slot);
-
   /// Host carrying `rank` (world placement; identity by default).
   fabric::NodeId node_of(int rank) const;
 
@@ -387,10 +389,9 @@ class SimComm {
   SimWorld* world_;
   int rank_;
   msg::TagMatcher<detail::InFlightId> matcher_;
-  std::deque<PendingRecv> pending_pool_;  // deque: references held across awaits
-  std::vector<std::uint32_t> pending_free_;
-  std::deque<Request> request_pool_;
-  std::vector<std::uint32_t> request_free_;
+  // References into both pools are held across awaits.
+  support::SlabPool<PendingRecv> pending_pool_;
+  support::SlabPool<Request> request_pool_;
   // Per-destination send sequence numbers; per-source expected arrival
   // sequence + hold ring for out-of-order network completions.
   std::vector<std::uint64_t> send_seq_;
@@ -501,13 +502,6 @@ class SimWorld {
   /// interned names survive for a later re-attach.
   void detach_tracer();
 
-  /// Cheap enable gate over the bound tracer: flips every rank's (and the
-  /// network's) record-path pointer between the bound tracer and null, so
-  /// disabled tracing costs exactly the null-pointer branch an untraced
-  /// run pays — no per-event enabled check.  Requires a prior
-  /// attach_tracer.
-  void set_tracing_enabled(bool on);
-
   /// Attaches a metrics registry: live send counters/size histograms
   /// during the run, plus engine, fabric, matcher and registration-cache
   /// totals mirrored at the end of each run().
@@ -519,20 +513,21 @@ class SimWorld {
   const coll::Schedule& collective_schedule(coll::Collective kind,
                                             std::size_t count, int root);
 
-  /// InFlight slab pool (shared across ranks; the simulation is
+  /// InFlight pool (shared across ranks; the simulation is
   /// single-threaded).  Capacity growth = allocations.
   detail::InFlight& inflight(std::uint32_t slot) {
     return inflight_pool_[slot];
   }
-  std::uint32_t acquire_inflight();
   void release_inflight_ref(std::uint32_t slot);
-  std::size_t inflight_pool_capacity() const { return inflight_pool_.size(); }
-  std::size_t inflight_in_use() const {
-    return inflight_pool_.size() - inflight_free_.size();
+  std::size_t inflight_pool_capacity() const {
+    return inflight_pool_.capacity();
   }
+  std::size_t inflight_in_use() const { return inflight_pool_.in_use(); }
   std::size_t max_inflight_in_use() const { return max_inflight_in_use_; }
 
  private:
+  friend class SimComm;  // send_impl acquires InFlight records
+
   static std::uint64_t pack_schedule_key(coll::Collective kind,
                                          std::size_t count, int root);
 
@@ -561,9 +556,8 @@ class SimWorld {
   // collective_schedule() hands out stay stable across cache growth.
   support::FlatMap64<std::uint32_t> schedule_cache_;
   std::deque<coll::Schedule> schedules_;
-  // InFlight slab (deque: raw-chain contexts point at records).
-  std::deque<detail::InFlight> inflight_pool_;
-  std::vector<std::uint32_t> inflight_free_;
+  // Raw-chain contexts point at these records.
+  support::SlabPool<detail::InFlight> inflight_pool_;
   std::size_t max_inflight_in_use_ = 0;
 };
 

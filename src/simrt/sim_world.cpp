@@ -68,8 +68,19 @@ des::Task<SimStatus> SimComm::send_impl(int dst, int tag,
                                         std::uint64_t bytes,
                                         std::uintptr_t buffer_addr,
                                         std::uint64_t seq) {
-  const std::uint32_t slot = world_->acquire_inflight();
-  detail::InFlight& f = world_->inflight(slot);
+  auto& pool = world_->inflight_pool_;
+  const std::uint32_t slot = pool.acquire();
+  world_->max_inflight_in_use_ =
+      std::max(world_->max_inflight_in_use_, pool.in_use());
+  detail::InFlight& f = pool[slot];
+  f.slot = slot;
+  f.matched.reset();
+  f.delivered.reset();
+  f.refs = 2;  // the sender's protocol chain + the receiving recv
+  f.status = SimStatus::kOk;
+  f.retries_used = 0;
+  f.dropped = false;
+  f.sync_timeout = des::EventId{};
   f.dst_comm = &world_->comm(static_cast<std::size_t>(dst));
   f.src = rank_;
   f.tag = tag;
@@ -382,15 +393,24 @@ void SimComm::deliver_to_matcher(std::uint32_t inflight_slot) {
 
 SimComm::RecvTicket SimComm::post_recv_now(int src, int tag) {
   RecvTicket ticket;
-  const std::uint32_t pslot = acquire_pending();
+  const std::uint32_t pslot = pending_pool_.acquire();
   PendingRecv& pr = pending_pool_[pslot];
+  pr.trigger.reset();
+  pr.inflight_slot = kNilSlot;
+  pr.owner = this;
+  pr.timeout_ev = des::EventId{};
+  pr.src = -1;
+  pr.timed_out = false;
   const msg::RecvId id =
       (static_cast<std::uint64_t>(pr.gen) << 32) | pslot;
   if (auto env = matcher_.post_recv(id, src, tag)) {
     POLARIS_DCHECK(world_->inflight(env->cookie.slot).gen ==
                    env->cookie.gen);
     ticket.inflight_slot = env->cookie.slot;
-    release_pending(pslot);  // matched immediately: no queued state needed
+    // Matched immediately: no queued state needed.  The generation bump
+    // invalidates the RecvId.
+    ++pr.gen;
+    pending_pool_.release(pslot);
   } else {
     ticket.pending_slot = pslot;
     if (world_->faults_enabled() &&
@@ -441,11 +461,13 @@ des::Task<SimRecvStatus> SimComm::recv_impl(RecvTicket ticket) {
         st.status = SimStatus::kPeerDown;
       }
       world_->count_timeout();
-      release_pending(ticket.pending_slot);
+      ++pr.gen;
+      pending_pool_.release(ticket.pending_slot);
       co_return st;
     }
     world_->engine().cancel(pr.timeout_ev);
-    release_pending(ticket.pending_slot);
+    ++pr.gen;
+    pending_pool_.release(ticket.pending_slot);
   }
   detail::InFlight& inf = world_->inflight(slot);
 
@@ -507,63 +529,13 @@ des::Task<SimRecvStatus> SimComm::recv_impl(RecvTicket ticket) {
   co_return st;
 }
 
-std::uint32_t SimComm::acquire_pending() {
-  std::uint32_t slot;
-  if (!pending_free_.empty()) {
-    slot = pending_free_.back();
-    pending_free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(pending_pool_.size());
-    pending_pool_.emplace_back();
-  }
-  PendingRecv& pr = pending_pool_[slot];
-  pr.trigger.reset();
-  pr.inflight_slot = kNilSlot;
-  pr.owner = this;
-  pr.timeout_ev = des::EventId{};
-  pr.src = -1;
-  pr.timed_out = false;
-  return slot;
-}
-
-void SimComm::release_pending(std::uint32_t slot) {
-  PendingRecv& pr = pending_pool_[slot];
-  ++pr.gen;  // invalidates any outstanding RecvId for this slot
-  pending_free_.push_back(slot);
-}
-
-SimRequest SimComm::acquire_request() {
-  std::uint32_t slot;
-  if (!request_free_.empty()) {
-    slot = request_free_.back();
-    request_free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(request_pool_.size());
-    request_pool_.emplace_back();
-  }
-  Request& r = request_pool_[slot];
-  r.done.reset();
-  r.status = SimRecvStatus{};
-  SimRequest req;
-  req.slot_ = slot;
-  req.gen_ = r.gen;
-  return req;
-}
-
-void SimComm::release_request(std::uint32_t slot) {
-  Request& r = request_pool_[slot];
-  ++r.gen;  // a waited handle cannot be waited again
-  request_free_.push_back(slot);
-}
-
 SimRequest SimComm::isend(int dst, int tag, std::uint64_t bytes,
                           std::uintptr_t buffer_addr) {
   POLARIS_CHECK(dst >= 0 && dst < size());
-  SimRequest req = acquire_request();
+  const std::uint32_t slot = request_pool_.acquire();
   world_->engine().spawn(
-      isend_body(dst, tag, bytes, buffer_addr, send_seq_[dst]++,
-                 req.slot_));
-  return req;
+      isend_body(dst, tag, bytes, buffer_addr, send_seq_[dst]++, slot));
+  return SimRequest(slot, request_pool_[slot].gen);
 }
 
 des::Task<void> SimComm::isend_body(int dst, int tag, std::uint64_t bytes,
@@ -572,16 +544,16 @@ des::Task<void> SimComm::isend_body(int dst, int tag, std::uint64_t bytes,
                                     std::uint32_t request_slot) {
   const SimStatus st = co_await send_impl(dst, tag, bytes, buffer_addr, seq);
   Request& r = request_pool_[request_slot];
-  r.status.status = st;
+  r.status = {.status = st};
   r.done.fire(world_->engine());
 }
 
 SimRequest SimComm::irecv(int src, int tag) {
-  SimRequest req = acquire_request();
+  const std::uint32_t slot = request_pool_.acquire();
   // Post to the matcher NOW so posting order equals program order; only
   // the completion wait runs as a background process.
-  world_->engine().spawn(irecv_body(post_recv_now(src, tag), req.slot_));
-  return req;
+  world_->engine().spawn(irecv_body(post_recv_now(src, tag), slot));
+  return SimRequest(slot, request_pool_[slot].gen);
 }
 
 des::Task<void> SimComm::irecv_body(RecvTicket ticket,
@@ -600,7 +572,9 @@ des::Task<SimRecvStatus> SimComm::wait(SimRequest request) {
   obs::ScopedSpan span(tracer_, track_, ids_->wait, ids_->cat_p2p);
   co_await r.done.wait();
   SimRecvStatus st = r.status;
-  release_request(request.slot_);
+  ++r.gen;  // a waited handle cannot be waited again
+  r.done.reset();
+  request_pool_.release(request.slot_);
   co_return st;
 }
 
@@ -617,7 +591,9 @@ des::Task<SimStatus> SimComm::wait_all(std::span<const SimRequest> requests) {
         r.status.status != SimStatus::kOk) {
       first_error = r.status.status;
     }
-    release_request(req.slot_);
+    ++r.gen;  // a waited handle cannot be waited again
+    r.done.reset();
+    request_pool_.release(req.slot_);
   }
   co_return first_error;
 }
@@ -724,34 +700,12 @@ SimWorld::SimWorld(std::size_t ranks, fabric::FabricParams fabric_params,
   }
 }
 
-std::uint32_t SimWorld::acquire_inflight() {
-  std::uint32_t slot;
-  if (!inflight_free_.empty()) {
-    slot = inflight_free_.back();
-    inflight_free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(inflight_pool_.size());
-    inflight_pool_.emplace_back();
-    inflight_pool_.back().slot = slot;
-  }
-  detail::InFlight& f = inflight_pool_[slot];
-  f.matched.reset();
-  f.delivered.reset();
-  f.refs = 2;  // the sender's protocol chain + the receiving recv
-  f.status = SimStatus::kOk;
-  f.retries_used = 0;
-  f.dropped = false;
-  f.sync_timeout = des::EventId{};
-  max_inflight_in_use_ = std::max(max_inflight_in_use_, inflight_in_use());
-  return slot;
-}
-
 void SimWorld::release_inflight_ref(std::uint32_t slot) {
   detail::InFlight& f = inflight_pool_[slot];
   POLARIS_DCHECK(f.refs > 0);
   if (--f.refs == 0) {
     ++f.gen;  // invalidates matcher cookies pointing at this slot
-    inflight_free_.push_back(slot);
+    inflight_pool_.release(slot);
   }
 }
 
@@ -788,13 +742,6 @@ void SimWorld::attach_tracer(obs::Tracer& tracer) {
 void SimWorld::detach_tracer() {
   for (auto& c : comms_) c->tracer_ = nullptr;
   network_->detach_tracer();
-}
-
-void SimWorld::set_tracing_enabled(bool on) {
-  POLARIS_CHECK(bound_tracer_ != nullptr);
-  obs::Tracer* t = on ? bound_tracer_ : nullptr;
-  for (auto& c : comms_) c->tracer_ = t;
-  network_->set_tracing_enabled(on);
 }
 
 namespace detail {

@@ -298,6 +298,120 @@ TEST_F(NetworkTest, NodeDeathKillsContendedWalkers) {
   EXPECT_LE(des::to_seconds(engine_.now()), full);
 }
 
+// -- transfer() is transfer_raw() --------------------------------------------
+
+struct Xfer {
+  NodeId src;
+  NodeId dst;
+  std::uint64_t bytes;
+};
+
+/// Completion tick of each transfer and the events the engine ran.
+struct Outcome {
+  std::vector<des::SimTime> done;
+  std::uint64_t events = 0;
+  NetworkStats stats;
+};
+
+/// Starts every transfer at t = 0, in list order, each from a spawned
+/// coroutine that awaits transfer().
+Outcome run_awaited(const FabricParams& params, const Topology& topo,
+                    const std::vector<Xfer>& xfers) {
+  des::Engine engine;
+  SimNetwork net(engine, params, topo);
+  Outcome out;
+  out.done.assign(xfers.size(), -1);
+  for (std::size_t i = 0; i < xfers.size(); ++i) {
+    engine.spawn([](SimNetwork& n, Xfer x,
+                    des::SimTime& at) -> des::Task<void> {
+      co_await n.transfer(x.src, x.dst, x.bytes);
+      at = n.engine().now();
+    }(net, xfers[i], out.done[i]));
+  }
+  engine.run();
+  out.events = engine.events_executed();
+  out.stats = net.stats();
+  return out;
+}
+
+/// The same transfers through transfer_raw(), each issued from a zero-delay
+/// raw event (the counterpart of spawn's start event).
+Outcome run_raw(const FabricParams& params, const Topology& topo,
+                const std::vector<Xfer>& xfers) {
+  des::Engine engine;
+  SimNetwork net(engine, params, topo);
+  Outcome out;
+  out.done.assign(xfers.size(), -1);
+  struct Ctx {
+    SimNetwork* net;
+    Xfer x;
+    des::SimTime* at;
+  };
+  std::vector<Ctx> ctxs;
+  for (std::size_t i = 0; i < xfers.size(); ++i) {
+    ctxs.push_back({&net, xfers[i], &out.done[i]});
+  }
+  for (Ctx& c : ctxs) {
+    engine.schedule_raw_after(
+        0,
+        [](void* start) {
+          auto& ctx = *static_cast<Ctx*>(start);
+          ctx.net->transfer_raw(
+              ctx.x.src, ctx.x.dst, ctx.x.bytes,
+              [](void* done, XferStatus) {
+                auto& d = *static_cast<Ctx*>(done);
+                *d.at = d.net->engine().now();
+              },
+              &ctx);
+        },
+        &c);
+  }
+  engine.run();
+  out.events = engine.events_executed();
+  out.stats = net.stats();
+  return out;
+}
+
+Outcome expect_same_forms(const FabricParams& params,
+                          const std::vector<Xfer>& xfers) {
+  const Crossbar topo(8);
+  const Outcome awaited = run_awaited(params, topo, xfers);
+  const Outcome raw = run_raw(params, topo, xfers);
+  EXPECT_EQ(awaited.done, raw.done);
+  EXPECT_EQ(awaited.events, raw.events);
+  for (const des::SimTime t : raw.done) EXPECT_GE(t, 0);
+  return raw;
+}
+
+TEST(TransferForms, IdlePairMatches) {
+  const Outcome o = expect_same_forms(fabrics::myrinet2000(), {{0, 1, 65536}});
+  EXPECT_EQ(o.stats.messages_bypassed, 1u);
+}
+
+TEST(TransferForms, ContendedPairMatches) {
+  const Outcome o = expect_same_forms(
+      fabrics::myrinet2000(), {{0, 2, 1 << 20}, {1, 2, 1 << 20}});
+  EXPECT_EQ(o.stats.flights_materialized + o.stats.messages_walked, 2u);
+}
+
+TEST(TransferForms, CircuitMissThenHitMatches) {
+  const Outcome o =
+      expect_same_forms(fabrics::optical_ocs(), {{0, 1, 4096}, {0, 1, 4096}});
+  EXPECT_EQ(o.stats.circuit_misses, 1u);
+  EXPECT_EQ(o.stats.circuit_hits, 1u);
+}
+
+TEST(TransferForms, SelfCopyMatches) {
+  const Outcome o =
+      expect_same_forms(fabrics::myrinet2000(), {{3, 3, 1 << 20}});
+  EXPECT_EQ(o.stats.packets, 0u);
+}
+
+TEST(TransferForms, ZeroByteTransferMatches) {
+  const Outcome o = expect_same_forms(fabrics::myrinet2000(), {{0, 1, 0}});
+  EXPECT_EQ(o.stats.packets, 1u);
+}
+
 TEST_F(NetworkTest, FaultsEnabledButIdleChangesNothing) {
   SimNetwork net(engine_, fabrics::myrinet2000(), topo_);
   net.enable_faults();

@@ -129,22 +129,6 @@ TEST(RingTracer, SamplingIsDeterministicOneInN) {
   EXPECT_EQ(s.span_ns_total, 100u * 5u);
 }
 
-TEST(RingTracer, DisabledTracerRecordsNothing) {
-  Tracer tracer(RingOptions{});
-  const TrackId t = tracer.add_track("ranks", "rank 0");
-  const NameId n = tracer.intern("op");
-  tracer.set_enabled(false);
-  tracer.complete_span(t, n, kNoName, 0, 1);
-  EXPECT_FALSE(tracer.begin_span(t, n).valid());
-  tracer.instant(t, n);
-  tracer.counter(t, n, 1.0);
-  Tracer::Stats s = tracer.stats();
-  EXPECT_EQ(s.spans_total + s.instants_total + s.counters_total, 0u);
-  tracer.set_enabled(true);
-  tracer.complete_span(t, n, kNoName, 0, 1);
-  EXPECT_EQ(tracer.stats().spans_total, 1u);
-}
-
 TEST(RingTracer, WriteJsonIsRepeatableAndNonConsuming) {
   Tracer tracer(RingOptions{});
   const TrackId t = tracer.add_track("ranks", "rank 0");

@@ -86,20 +86,23 @@ TEST(SpinBarrier, LateArriverWakesBlockedWaiters) {
   constexpr std::size_t kThreads = 4;
   SpinBarrier barrier(kThreads);
   int window = 0;  // written in the serial section only
-  std::atomic<std::size_t> arriving{0};
   std::atomic<std::size_t> saw_window{0};
 
   auto body = [&] {
-    arriving.fetch_add(1);
     barrier.arrive_and_wait([&] { window = 42; });
     if (window == 42) saw_window.fetch_add(1);
   };
   std::vector<std::thread> pool;
   for (std::size_t i = 0; i + 1 < kThreads; ++i) pool.emplace_back(body);
-  // The fourth participant arrives ~20 ms after the others, long after
-  // they have left the spin and yield tiers for the blocking wait.
-  while (arriving.load() + 1 < kThreads) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // The fourth participant arrives only once the others have left the spin
+  // and yield tiers for the blocking wait (a park counts when it begins),
+  // however long a loaded host takes to get them there.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (barrier.parks() + 1 < kThreads &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   body();
   for (auto& t : pool) t.join();
   EXPECT_EQ(saw_window.load(), kThreads);

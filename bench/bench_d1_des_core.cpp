@@ -8,6 +8,8 @@
 // did), plus the coroutine resume rate that bounds simulated-rank progress,
 // a hold-model depth sweep that prices an event by queue depth and delay,
 // and the SweepRunner's multi-core scaling on independent engine instances.
+// The sweep also counts global operator new calls in its timed loops
+// (heap_count.cpp): a steady hold model must allocate nothing.
 //
 // Emits BENCH_DES.json and BENCH_SWEEP.json in the working directory so
 // successive PRs have a recorded perf trajectory.  POLARIS_BENCH_BUDGET_MS
@@ -32,6 +34,7 @@
 #include "polaris/des/sweep.hpp"
 #include "polaris/des/task.hpp"
 #include "polaris/support/table.hpp"
+#include "heap_count.hpp"
 #include "report.hpp"
 
 namespace {
@@ -221,6 +224,7 @@ struct HoldModel {
   std::uint64_t timed = 0;      ///< the last `timed` of them are timed
   std::uint32_t lcg = 0x2545F491u;
   std::chrono::steady_clock::time_point t0, t1;
+  std::uint64_t allocs0 = 0, allocs1 = 0;  ///< odometer around the timed part
 
   SimTime delay() {
     lcg = lcg * 1664525u + 1013904223u;
@@ -230,19 +234,30 @@ struct HoldModel {
   static void fire(void* p) {
     HoldModel& h = *static_cast<HoldModel*>(p);
     if (h.remaining == 0) return;
-    if (h.remaining == h.timed) h.t0 = std::chrono::steady_clock::now();
+    if (h.remaining == h.timed) {
+      h.allocs0 = polaris::bench::heap_allocations();
+      h.t0 = std::chrono::steady_clock::now();
+    }
     --h.remaining;
     h.eng.schedule_raw_after(h.delay(), &HoldModel::fire, p);
-    if (h.remaining == 0) h.t1 = std::chrono::steady_clock::now();
+    if (h.remaining == 0) {
+      h.t1 = std::chrono::steady_clock::now();
+      h.allocs1 = polaris::bench::heap_allocations();
+    }
   }
 };
 
-/// Nanoseconds per event of the hold model at `depth` pending events with
-/// delays in [lo, hi]; best of three trials, each timing `events` firings
-/// after 2 * depth untimed ones bring the queue to its steady state.
-double bench_hold(std::uint64_t depth, SimTime lo, SimTime hi,
-                  std::uint64_t events) {
-  double best = std::numeric_limits<double>::infinity();
+struct HoldResult {
+  double ns_per_event = std::numeric_limits<double>::infinity();
+  std::uint64_t allocs = 0;  ///< most operator new calls in one timed part
+};
+
+/// The hold model at `depth` pending events with delays in [lo, hi]: best
+/// ns per event of three trials, each timing `events` firings after
+/// 2 * depth untimed ones bring the queue to its steady state.
+HoldResult bench_hold(std::uint64_t depth, SimTime lo, SimTime hi,
+                      std::uint64_t events) {
+  HoldResult r;
   for (int trial = 0; trial < 3; ++trial) {
     auto h = std::make_unique<HoldModel>();
     h->lo = lo;
@@ -253,11 +268,13 @@ double bench_hold(std::uint64_t depth, SimTime lo, SimTime hi,
       h->eng.schedule_raw_after(h->delay(), &HoldModel::fire, h.get());
     }
     h->eng.run();
-    best = std::min(
-        best, std::chrono::duration<double, std::nano>(h->t1 - h->t0).count() /
-                  static_cast<double>(events));
+    r.ns_per_event = std::min(
+        r.ns_per_event,
+        std::chrono::duration<double, std::nano>(h->t1 - h->t0).count() /
+            static_cast<double>(events));
+    r.allocs = std::max(r.allocs, h->allocs1 - h->allocs0);
   }
-  return best;
+  return r;
 }
 
 // ------------------------------------------------------- sweep scaling
@@ -390,20 +407,23 @@ int main() {
   support::Table ht(
       "D1c: hold-model depth sweep, ns per event (near: 1-4,096 ticks, "
       "far: 30-50 us)");
-  ht.header({"pending", "near", "far", "far/near"});
+  ht.header({"pending", "near", "far", "far/near", "far allocs"});
   double gate_ratio = 0.0;
   for (const std::uint64_t hold_depth : {256, 4096, 16384, 65536}) {
     const std::uint64_t n = std::max(hold_events, 4 * hold_depth);
-    const double near = bench_hold(hold_depth, 1, 4096, n);
-    const double far = bench_hold(hold_depth, 30'000, 50'000, n);
-    const double ratio = far / near;
+    const double near = bench_hold(hold_depth, 1, 4096, n).ns_per_event;
+    const HoldResult far = bench_hold(hold_depth, 30'000, 50'000, n);
+    const double ratio = far.ns_per_event / near;
     if (hold_depth == kGateDepth) gate_ratio = ratio;
     ht.add(hold_depth, support::Table::to_cell(near),
-           support::Table::to_cell(far), support::Table::to_cell(ratio));
+           support::Table::to_cell(far.ns_per_event),
+           support::Table::to_cell(ratio), far.allocs);
     const std::string at = ".d" + std::to_string(hold_depth);
     des_report.add("hold.near" + at + ".ns_per_event", near, "ns");
-    des_report.add("hold.far" + at + ".ns_per_event", far, "ns");
+    des_report.add("hold.far" + at + ".ns_per_event", far.ns_per_event, "ns");
     des_report.add("hold.far_near_ratio" + at, ratio, "x");
+    des_report.add("hold.far" + at + ".timed_allocs",
+                   static_cast<double>(far.allocs), "count");
   }
   ht.print(std::cout);
   const bool shape_ok = gate_ratio <= kMaxFarNearRatio;

@@ -1,5 +1,5 @@
 // Heap-allocation odometer for the benches that claim an allocation-free
-// steady state (D3, D7).  Linking heap_count.cpp replaces the process's
+// steady state (D1, D3, D7).  Linking heap_count.cpp replaces the process's
 // global operator new with a counting one, so a bracketed read counts
 // every heap allocation in between: slab growth, coroutine frames and
 // anything else the code under test does.

@@ -57,20 +57,17 @@ void Engine::heap_pop_top() {
 // buckets, so finding the next occupied bucket is two masked
 // count-trailing-zeros probes regardless of how sparse the wheel is.
 
-inline bool Engine::append(Bucket& bk, std::uint32_t slot) {
-  hot_[slot].next = kNilSlot;
-  if (bk.head == kNilSlot) {
-    bk.head = bk.tail = slot;
-    return true;
-  }
-  hot_[bk.tail].next = slot;
-  bk.tail = slot;
-  return false;
-}
-
 inline void Engine::wheel_push(std::uint32_t slot) {
-  const std::size_t b = static_cast<std::size_t>(hot_[slot].t) & kWheelMask;
-  if (append(buckets_[b], slot)) set_bucket_bit(b);
+  const std::size_t b = static_cast<std::size_t>(nodes_[slot].t) & kWheelMask;
+  Bucket& bk = buckets_[b];
+  nodes_[slot].next = kNilSlot;
+  if (bk.head == kNilSlot) {
+    bk.head = slot;
+    set_bucket_bit(b);
+  } else {
+    nodes_[bk.tail].next = slot;
+  }
+  bk.tail = slot;
   ++wheel_count_;
 }
 
@@ -113,7 +110,7 @@ std::size_t Engine::next_bucket(std::size_t from) const {
 
 void Engine::unlink_bucket_head(std::size_t b) {
   Bucket& bk = buckets_[b];
-  const std::uint32_t next = hot_[bk.head].next;
+  const std::uint32_t next = nodes_[bk.head].next;
   bk.head = next;
   if (next == kNilSlot) {
     bk.tail = kNilSlot;
@@ -128,15 +125,27 @@ void Engine::unlink_bucket_head(std::size_t b) {
 // congruent to i, in schedule order.  A block leaves the block wheel only
 // by cascading into the tick wheel when the clock enters the block before
 // it (or jumps into it), so each tick bucket receives a block's events in
-// sequence order before any later-scheduled event of that block.
+// schedule order before any later-scheduled event of that block.
 
 void Engine::block_push(std::uint32_t slot) {
-  if (blocks_.empty()) blocks_.resize(kBlockSlots);
-  const std::size_t i =
-      static_cast<std::size_t>(block_of(hot_[slot].t)) & kBlockMask;
-  if (append(blocks_[i], slot)) {
-    block_bitmap_[i >> 6] |= std::uint64_t{1} << (i & 63);
+  if (blocks_.empty()) {
+    blocks_.resize(kBlockSlots);
+    spare_.reserve(kBlockSlots);  // arrays are made only when none is spare
   }
+  const std::size_t i =
+      static_cast<std::size_t>(block_of(nodes_[slot].t)) & kBlockMask;
+  BlockBucket& bk = blocks_[i];
+  if (bk.empty()) {
+    block_bitmap_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    if (!spare_.empty()) {
+      bk = std::move(spare_.back());
+      spare_.pop_back();
+    }
+    // Every array in use grows to the largest block seen, so once the
+    // block population stops growing no bucket reallocates.
+    bk.reserve(block_capacity_);
+  }
+  bk.push_back(slot);
   ++block_count_;
 }
 
@@ -158,19 +167,31 @@ std::size_t Engine::first_block_bucket() const {
 }
 
 void Engine::cascade(std::size_t i) {
-  Bucket& bk = blocks_[i];
-  for (std::uint32_t s = bk.head; s != kNilSlot;) {
-    const std::uint32_t next = hot_[s].next;
-    if (cancelled(s)) {
-      reap_node(s);
+  BlockBucket& bk = blocks_[i];
+  const std::size_t n = bk.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k + kPrefetchAhead < n) prefetch(bk[k + kPrefetchAhead]);
+    if (cancelled(bk[k])) {
+      reap_node(bk[k]);
     } else {
-      wheel_push(s);
+      wheel_push(bk[k]);
     }
-    --block_count_;
-    s = next;
   }
-  bk = Bucket{};
+  block_count_ -= n;
+  block_capacity_ = std::max(block_capacity_, bk.capacity());
+  bk.clear();
+  spare_.push_back(std::move(bk));
   block_bitmap_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+}
+
+SimTime Engine::bucket_min_time(std::size_t i, bool live_only) const {
+  const BlockBucket& bk = blocks_[i];
+  SimTime best = kNoEventTime;
+  for (std::size_t k = 0; k < bk.size(); ++k) {
+    if (k + kPrefetchAhead < bk.size()) prefetch(bk[k + kPrefetchAhead]);
+    if (!live_only || !cancelled(bk[k])) best = std::min(best, nodes_[bk[k]].t);
+  }
+  return best;
 }
 
 void Engine::enter_block(SimTime t) {
@@ -193,10 +214,7 @@ bool Engine::jump(SimTime until) {
   reap_cancelled_top();
   while (block_count_ != 0) {
     const std::size_t i = first_block_bucket();
-    SimTime earliest = kNoEventTime;
-    for (std::uint32_t s = blocks_[i].head; s != kNilSlot; s = hot_[s].next) {
-      if (!cancelled(s)) earliest = std::min(earliest, hot_[s].t);
-    }
+    const SimTime earliest = bucket_min_time(i, true);
     if (earliest == kNoEventTime) {
       cascade(i);  // only tombstones: reaps them all
       continue;
@@ -210,15 +228,6 @@ bool Engine::jump(SimTime until) {
   return false;
 }
 
-SimTime Engine::block_min_time() const {
-  SimTime best = kNoEventTime;
-  for (std::uint32_t s = blocks_[first_block_bucket()].head; s != kNilSlot;
-       s = hot_[s].next) {
-    best = std::min(best, hot_[s].t);
-  }
-  return best;
-}
-
 // ----------------------------------------------------------- node pool
 
 std::uint32_t Engine::acquire_node() {
@@ -227,21 +236,20 @@ std::uint32_t Engine::acquire_node() {
     free_.pop_back();
     return slot;
   }
-  const auto slot = static_cast<std::uint32_t>(hot_.size());
-  hot_.emplace_back();
-  cold_.emplace_back();
+  const auto slot = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.emplace_back();
   return slot;
 }
 
 void Engine::release_node(std::uint32_t slot) {
   // Clears the tombstone and advances the generation, invalidating every
   // outstanding EventId for this slot.
-  hot_[slot].gen = (hot_[slot].gen | kCancelled) + 1;
+  nodes_[slot].gen = (nodes_[slot].gen | kCancelled) + 1;
   free_.push_back(slot);
 }
 
 void Engine::reap_node(std::uint32_t slot) {
-  cold_[slot].cb = Callback();  // drop captured state (handles, owners) now
+  nodes_[slot].cb = Callback();  // drop captured state (handles, owners) now
   release_node(slot);
   ++stats_.cancelled_skipped;
 }
@@ -258,26 +266,24 @@ void Engine::reap_cancelled_top() {
 
 EventId Engine::schedule_at(SimTime t, Callback&& cb) {
   POLARIS_CHECK_MSG(t >= now_, "cannot schedule into the simulated past");
-  const std::uint64_t seq = next_seq_++;
   const std::uint32_t slot = acquire_node();
-  hot_[slot].t = t;
-  ColdNode& c = cold_[slot];
-  c.seq = seq;
-  c.cb = std::move(cb);
-  if (c.cb.heap_allocated()) ++stats_.sbo_misses;
+  Node& node = nodes_[slot];
+  node.t = t;
+  node.cb = std::move(cb);
+  if (node.cb.heap_allocated()) ++stats_.sbo_misses;
   const std::uint64_t ahead = block_of(t) - block_of(now_);
   if (ahead <= 1) {
     wheel_push(slot);
   } else if (ahead < 2 + kBlockSlots) {
     block_push(slot);
   } else {
-    heap_push(HeapEntry{t, seq, slot});
+    heap_push(HeapEntry{t, next_seq_++, slot});
   }
   ++stats_.scheduled;
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_depth());
   stats_.max_pool_in_use =
-      std::max(stats_.max_pool_in_use, hot_.size() - free_.size());
-  return EventId{slot, hot_[slot].gen};
+      std::max(stats_.max_pool_in_use, nodes_.size() - free_.size());
+  return EventId{slot, node.gen};
 }
 
 EventId Engine::schedule_raw_at(SimTime t, RawCallback fn, void* ctx) {
@@ -318,15 +324,14 @@ bool Engine::step_bounded(SimTime until) {
     if (wheel_slot != kNilSlot || block_count_ == 0 || !jump(until)) break;
   }
   // Heap candidate, then merge: heap times drift into the tick wheel's
-  // range as now() advances, so ties on time break on sequence number.
+  // range as now() advances.  The heap event wins a tie on time, because
+  // it was scheduled first (header comment).
   reap_cancelled_top();
   std::uint32_t slot;
   bool from_wheel;
   if (wheel_slot != kNilSlot && !heap_.empty()) {
-    const SimTime wt = hot_[wheel_slot].t;
-    const HeapEntry& h = heap_[0];
-    from_wheel = (wt != h.t) ? wt < h.t : cold_[wheel_slot].seq < h.seq;
-    slot = from_wheel ? wheel_slot : h.slot;
+    from_wheel = nodes_[wheel_slot].t < heap_[0].t;
+    slot = from_wheel ? wheel_slot : heap_[0].slot;
   } else if (wheel_slot != kNilSlot) {
     from_wheel = true;
     slot = wheel_slot;
@@ -336,7 +341,7 @@ bool Engine::step_bounded(SimTime until) {
   } else {
     return false;
   }
-  const SimTime t = hot_[slot].t;
+  const SimTime t = nodes_[slot].t;
   if (t > until) return false;
   if (from_wheel) {
     unlink_bucket_head(wheel_bucket);
@@ -347,9 +352,15 @@ bool Engine::step_bounded(SimTime until) {
   // Release the slot before invoking: the callback may schedule (reusing
   // this slot) and a later cancel of this fired event must see a bumped
   // generation.
-  Callback cb = std::move(cold_[slot].cb);
+  Callback cb = std::move(nodes_[slot].cb);
   release_node(slot);
   ++executed_;
+  // Load the next wheel event's node while the callback runs, if it is in
+  // this bitmap word (a sparse wheel is not worth a summary walk).
+  const std::size_t b = static_cast<std::size_t>(t) & kWheelMask;
+  if (const std::uint64_t w = bitmap_[b >> 6] >> (b & 63)) {
+    prefetch(buckets_[b + static_cast<std::size_t>(std::countr_zero(w))].head);
+  }
   cb();
   return true;
 }
@@ -363,9 +374,9 @@ SimTime Engine::next_event_time() const {
     // event is later.
     const std::size_t b =
         next_bucket(static_cast<std::size_t>(now_) & kWheelMask);
-    best = hot_[buckets_[b].head].t;
+    best = nodes_[buckets_[b].head].t;
   } else if (block_count_ != 0) {
-    best = block_min_time();
+    best = bucket_min_time(first_block_bucket(), false);
   }
   if (!heap_.empty() && heap_[0].t < best) best = heap_[0].t;
   return best;

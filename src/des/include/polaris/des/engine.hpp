@@ -8,50 +8,49 @@
 //  - A tick wheel of 8,192 one-tick buckets holds now()'s block and the
 //    next, in O(1) per schedule and per pop.  Each bucket is an intrusive
 //    FIFO of pool slots; because a bucket spans exactly one tick, append
-//    order equals sequence order, so wheel pops reproduce the (time,
-//    sequence) order of a comparison queue exactly.  A two-level bitmap
-//    (bit per bucket, summary bit per word) finds the next occupied bucket
-//    with two count-trailing-zeros steps instead of a scan.
+//    order equals schedule order, so wheel pops reproduce the order of a
+//    comparison queue exactly.  A two-level bitmap (bit per bucket, summary
+//    bit per word) finds the next occupied bucket with two
+//    count-trailing-zeros steps instead of a scan.
 //  - A block wheel of 256 one-block buckets (about 1 ms at 1 ns ticks)
 //    holds the 256 blocks after those two, also in O(1) per schedule.  It
-//    is allocated on first use, so an engine that never schedules that far
-//    ahead stays as small as a one-wheel engine.  When the clock enters
-//    block b, block b+1's bucket is appended to the tick wheel in list
-//    order, which is schedule (= sequence) order.  No event of block b+1
+//    is allocated on first use.  Each bucket is an array of slots in
+//    schedule order; an emptied array goes to a spare list for the next
+//    bucket that fills, so arrays track the live blocks and a steady state
+//    allocates nothing.  When the clock enters block b, block b+1's bucket
+//    is appended to the tick wheel in array order.  No event of block b+1
 //    can reach the tick wheel any earlier (it was two blocks ahead until
-//    now), so every tick bucket stays in sequence order by construction.
+//    now), so every tick bucket stays in schedule order by construction.
 //    When the tick wheel runs dry, one scan of the first occupied block
 //    bucket finds its earliest live time and the clock jumps there, which
-//    cascades that block and the next.
+//    cascades that block and the next.  Scans and cascades prefetch nodes
+//    a fixed distance ahead.
 //  - A 4-ary implicit min-heap of (time, sequence) keys holds everything
 //    further out.  Heap times drift into the wheels' range as now()
-//    advances, so each pop compares the tick-wheel head with the heap top
-//    and breaks time ties on sequence number, and a jump never passes the
-//    heap top — total order across all three tiers is identical to a
-//    single queue.
+//    advances, so each pop compares the tick-wheel head with the heap top,
+//    and a jump never passes the heap top.  On a tie the heap event runs
+//    first: it was scheduled at least 258 blocks ahead and the wheel event
+//    at most 257, so with a clock that never goes back it came first.
 //
 // The clock never passes a queued live event: it moves only to the time
 // of the event being run, to a jump target, or (run_until) to a bound that
-// precedes every queued live event.  The cascade relies on this.
+// precedes every queued live event.  The cascade and the tie rule rely on
+// this.
 //
-// Event state lives in a slab pool with a free list: scheduling reuses a
-// slot instead of touching the allocator, and callbacks are stored in a
-// small-buffer-optimized UniqueFunction, so the common coroutine-resume
-// event allocates nothing.  The pool is two arrays indexed by slot.  The
-// 16-byte hot record (time, next slot, generation and tombstone) is all
-// that bucket appends, pops, cascades, block scans and cancel() touch, so
-// walking a bucket's chain reads four records per cache line.  The cold
-// record (callback, sequence number) is written at schedule and read when
-// the event fires or ties a heap event's time.
+// Each pending event is one 64-byte, line-aligned pool node (time, next
+// slot, generation with tombstone, callback) taken from a free list, so
+// scheduling does not touch the allocator and firing loads one cache line;
+// step() prefetches the next wheel event's node before running a callback.
+// Callbacks live in a small-buffer-optimized UniqueFunction, so the common
+// coroutine-resume event allocates nothing.
 //
 // Cancellation is O(1) and leak-free: an EventId carries the event's pool
-// slot plus a generation counter; cancel() sets the tombstone bit of the
-// live slot's hot record, and the slot is reaped (returned to the pool)
-// when it reaches the front of its tick bucket, the top of the heap, or is
-// met by a block scan or cascade.  Firing or reaping bumps the generation,
-// so a stale EventId — including one for an already-fired event — is
-// recognized by the generation mismatch and ignored without retaining any
-// state.
+// slot plus a generation counter; cancel() sets the node's tombstone bit,
+// and the slot is reaped (returned to the pool) when it reaches the front
+// of its tick bucket, the top of the heap, or is met by a block scan or
+// cascade.  Firing or reaping bumps the generation, so a stale EventId —
+// including one for an already-fired event — is recognized by the
+// generation mismatch and ignored without retaining any state.
 //
 // Coroutine-based processes (see task.hpp) are resumed exclusively through
 // scheduled events, which bounds recursion depth and gives every resumption
@@ -72,8 +71,8 @@ template <typename T>
 class Task;
 
 /// Handle for cancelling a scheduled event.  Identifies the event by pool
-/// slot + generation (always even: the hot record keeps its tombstone in
-/// bit 0); stays safely stale after the event fires.
+/// slot + generation (always even: the node keeps its tombstone in bit 0);
+/// stays safely stale after the event fires.
 struct EventId {
   std::uint32_t slot = 0xffff'ffffu;
   std::uint32_t gen = 0;
@@ -111,7 +110,7 @@ class Engine {
 
   /// Schedules `cb` at absolute time `t` (must be >= now()).  Takes the
   /// callback by rvalue reference so the hot path pays exactly one move
-  /// (into the pooled cold record).
+  /// (into the pooled node).
   EventId schedule_at(SimTime t, Callback&& cb);
 
   /// Schedules `cb` at now() + dt (dt >= 0).
@@ -132,9 +131,9 @@ class Engine {
   /// Cancels a pending event in O(1).  Cancelling an already-fired or
   /// already-cancelled event is a no-op (the generation no longer matches).
   void cancel(EventId id) {
-    if (id.slot >= hot_.size()) return;
-    HotNode& h = hot_[id.slot];
-    if (h.gen == id.gen) h.gen |= kCancelled;
+    if (id.slot >= nodes_.size()) return;
+    Node& n = nodes_[id.slot];
+    if (n.gen == id.gen) n.gen |= kCancelled;
   }
 
   /// Runs until the event queue is empty or stop() is called.  Returns the
@@ -164,8 +163,8 @@ class Engine {
   EngineStats stats() const {
     EngineStats s = stats_;
     s.executed = executed_;
-    s.pool_capacity = hot_.size();
-    s.pool_in_use = hot_.size() - free_.size();
+    s.pool_capacity = nodes_.size();
+    s.pool_in_use = nodes_.size() - free_.size();
     return s;
   }
 
@@ -213,35 +212,51 @@ class Engine {
   static constexpr std::size_t kBlockMask = kBlockSlots - 1;
   static constexpr std::size_t kBlockWords = kBlockSlots / 64;
 
-  /// Tombstone bit of HotNode::gen; the generation counts in steps of 2.
+  /// Tombstone bit of Node::gen; the generation counts in steps of 2.
   static constexpr std::uint32_t kCancelled = 1;
+  /// How many slots ahead a block-bucket walk prefetches nodes.
+  static constexpr std::size_t kPrefetchAhead = 8;
 
-  /// Pooled event state the queue tiers touch.  `next` chains tick- and
-  /// block-bucket FIFOs.
-  struct HotNode {
+  /// One pending event, one cache line.  `next` chains tick-bucket FIFOs.
+  struct alignas(64) Node {
     SimTime t = 0;
     std::uint32_t next = kNilSlot;
     std::uint32_t gen = 0;  ///< generation, tombstone in bit 0
-  };
-  static_assert(sizeof(HotNode) == 16);
-  /// Pooled event state written at schedule and read at fire.  The
-  /// (t, seq) key is duplicated into the heap entry so sift compares never
-  /// chase the pool.
-  struct ColdNode {
     Callback cb;
-    std::uint64_t seq = 0;
   };
-  /// One heap slot: the full ordering key plus the owning pool slot.
+  static_assert(sizeof(Node) == 64 && alignof(Node) == 64);
+  /// Aligns the pool inside a plain operator new block.  The aligned
+  /// operator new reaches glibc's memalign, whose split-off fragments
+  /// slowed the allocations of the code that ran after small engines.
+  template <typename T>
+  struct LineAllocator {
+    using value_type = T;
+    T* allocate(std::size_t n) {
+      auto* raw = static_cast<char*>(::operator new(n * sizeof(T) + 64));
+      char* p = raw + 64 - reinterpret_cast<std::uintptr_t>(raw) % 64;
+      p[-1] = static_cast<char>(p - raw);  // 16..64
+      return reinterpret_cast<T*>(p);
+    }
+    void deallocate(T* p, std::size_t) {
+      char* q = reinterpret_cast<char*>(p);
+      ::operator delete(q - q[-1]);
+    }
+    friend bool operator==(LineAllocator, LineAllocator) { return true; }
+  };
+  /// One heap slot: the full ordering key plus the owning pool slot;
+  /// `seq` orders heap events that share a time.
   struct HeapEntry {
     SimTime t;
     std::uint64_t seq;
     std::uint32_t slot;
   };
-  /// Intrusive FIFO of pool slots holding one bucket's events.
+  /// Intrusive FIFO of pool slots holding one tick's events.
   struct Bucket {
     std::uint32_t head = kNilSlot;
     std::uint32_t tail = kNilSlot;
   };
+  /// One block's slots in schedule order.
+  using BlockBucket = std::vector<std::uint32_t>;
 
   static bool before(const HeapEntry& a, const HeapEntry& b) {
     if (a.t != b.t) return a.t < b.t;
@@ -255,7 +270,10 @@ class Engine {
   void heap_pop_top();
 
   bool cancelled(std::uint32_t slot) const {
-    return (hot_[slot].gen & kCancelled) != 0;
+    return (nodes_[slot].gen & kCancelled) != 0;
+  }
+  void prefetch(std::uint32_t slot) const {
+    __builtin_prefetch(&nodes_[slot]);
   }
   std::uint32_t acquire_node();
   /// Returns a fired slot, its callback already moved out, to the pool.
@@ -264,8 +282,6 @@ class Engine {
   void reap_node(std::uint32_t slot);
   void reap_cancelled_top();  ///< Reaps tombstones sitting at the heap top.
 
-  /// Appends `slot` to `bk`; returns true when the bucket was empty.
-  [[gnu::always_inline]] bool append(Bucket& bk, std::uint32_t slot);
   /// Into its tick bucket; inlined so scheduling a near event stays as
   /// cheap as with the tick wheel alone.
   [[gnu::always_inline]] void wheel_push(std::uint32_t slot);
@@ -280,8 +296,12 @@ class Engine {
   [[gnu::noinline]] void block_push(std::uint32_t slot);
   /// Index of the earliest block's bucket.  Precondition: block_count_ > 0.
   std::size_t first_block_bucket() const;
-  /// Moves block bucket `i` into the tick wheel, reaping its tombstones.
+  /// Moves block bucket `i` into the tick wheel, reaping its tombstones,
+  /// and its emptied array to the spare list.
   void cascade(std::size_t i);
+  /// Earliest time in block bucket `i`; tombstones count unless
+  /// `live_only`.
+  SimTime bucket_min_time(std::size_t i, bool live_only) const;
   /// Cascades the blocks that enter the tick wheel's range as the clock
   /// moves to `t`, a later block than now()'s.
   [[gnu::noinline]] void enter_block(SimTime t);
@@ -289,7 +309,6 @@ class Engine {
   /// event if it is <= `until` and not after the heap top.  Returns
   /// whether the tick wheel now holds that event.
   [[gnu::noinline]] bool jump(SimTime until);
-  [[gnu::noinline]] SimTime block_min_time() const;
   void set_clock(SimTime t) {
     if (block_of(t) != block_of(now_)) enter_block(t);
     now_ = t;
@@ -300,18 +319,19 @@ class Engine {
   void maybe_rethrow();
 
   std::vector<HeapEntry> heap_;  ///< 4-ary implicit min-heap on (t, seq)
-  std::vector<HotNode> hot_;         ///< pool, indexed by slot
-  std::vector<ColdNode> cold_;       ///< pool, indexed by slot
+  std::vector<Node, LineAllocator<Node>> nodes_;  ///< pool, by slot
   std::vector<std::uint32_t> free_;  ///< pool slots ready for reuse
   std::vector<Bucket> buckets_;      ///< kWheelSpan one-tick FIFOs
   std::uint64_t bitmap_[kWheelWords] = {};   ///< bit per occupied bucket
   std::uint64_t summary_[kSummaryWords] = {};  ///< bit per nonzero word
   std::size_t wheel_count_ = 0;  ///< events currently in the tick wheel
-  std::vector<Bucket> blocks_;   ///< kBlockSlots one-block FIFOs, lazy
+  std::vector<BlockBucket> blocks_;  ///< kBlockSlots buckets, lazy
+  std::vector<BlockBucket> spare_;   ///< emptied bucket arrays for reuse
+  std::size_t block_capacity_ = 0;   ///< largest bucket array capacity
   std::uint64_t block_bitmap_[kBlockWords] = {};  ///< bit per occupied block
   std::size_t block_count_ = 0;  ///< events currently in the block wheel
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 1;
+  std::uint64_t next_seq_ = 1;  ///< next heap entry's seq
   std::uint64_t executed_ = 0;
   EngineStats stats_;  ///< executed/pool fields derived in stats()
   std::size_t live_processes_ = 0;

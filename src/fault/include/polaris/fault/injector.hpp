@@ -32,11 +32,13 @@
 
 namespace polaris::fault {
 
+/// 16 bytes, so a scheduled fault (injector pointer, event and a repair
+/// delay) fits the engine's 32-byte inline callback.
 struct FaultEvent {
   enum class Kind : std::uint8_t { kNodeCrash, kNodeRepair, kLinkDown, kLinkUp };
-  Kind kind{};
   double time = 0.0;
   std::uint32_t id = 0;  ///< node or link
+  Kind kind{};
 };
 
 /// Observer of applied faults (and repairs).  The resource manager

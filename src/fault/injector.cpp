@@ -20,7 +20,7 @@ Injector::Injector(des::Engine& engine, fabric::SimNetwork& network)
 void Injector::schedule_node_crash(double at, std::uint32_t node,
                                    double repair_after) {
   POLARIS_CHECK(node < network_->topology().node_count());
-  FaultEvent ev{FaultEvent::Kind::kNodeCrash, at, node};
+  FaultEvent ev{at, node, FaultEvent::Kind::kNodeCrash};
   engine_->schedule_at(des::from_seconds(at), [this, ev, repair_after] {
     apply(ev, repair_after);
   });
@@ -29,7 +29,7 @@ void Injector::schedule_node_crash(double at, std::uint32_t node,
 void Injector::schedule_link_outage(double at, fabric::LinkId link,
                                     double repair_after) {
   POLARIS_CHECK(link < network_->topology().link_count());
-  FaultEvent ev{FaultEvent::Kind::kLinkDown, at, link};
+  FaultEvent ev{at, link, FaultEvent::Kind::kLinkDown};
   engine_->schedule_at(des::from_seconds(at), [this, ev, repair_after] {
     apply(ev, repair_after);
   });
@@ -95,7 +95,7 @@ bool Injector::extend_repair(RepairPlan& plan, FaultEvent::Kind repair_kind,
 void Injector::schedule_repair(const RepairPlan& plan,
                                FaultEvent::Kind repair_kind,
                                std::uint32_t id) {
-  const FaultEvent up{repair_kind, plan.at, id};
+  const FaultEvent up{plan.at, id, repair_kind};
   const std::uint32_t gen = plan.gen;
   engine_->schedule_at(des::from_seconds(plan.at),
                        [this, up, gen] { apply_repair(up, gen); });

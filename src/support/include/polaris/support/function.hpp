@@ -6,9 +6,11 @@
 // Callables that fit the inline buffer and are nothrow-move-constructible
 // are stored in place — no heap allocation.  The discrete-event engine's
 // typical callback (a lambda capturing one coroutine handle, or a handle
-// plus an owner pointer) is well under the 48-byte budget, so the schedule
-// hot path allocates nothing; larger captures fall back to the heap and
-// `heap_allocated()` lets callers count those misses.
+// plus an owner pointer) fits the 32-byte budget, so the schedule hot path
+// allocates nothing; larger captures fall back to the heap and
+// `heap_allocated()` lets callers count those misses.  The whole object is
+// 48 bytes, so an engine event node (time, chain slot, generation and this)
+// fills exactly one 64-byte cache line.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +27,10 @@ class UniqueFunction;
 template <typename R, typename... Args>
 class UniqueFunction<R(Args...)> {
  public:
-  /// Inline storage budget.  Sized for the engine's common captures (a
-  /// coroutine handle plus a couple of pointers) with room to spare.
-  static constexpr std::size_t kInlineBytes = 48;
+  /// Inline storage budget: four pointers, enough for the engine's
+  /// captures (a coroutine handle plus an owner, a pdes delivery record, a
+  /// fault event plus its injector).
+  static constexpr std::size_t kInlineBytes = 32;
 
   UniqueFunction() = default;
 
@@ -41,45 +44,35 @@ class UniqueFunction<R(Args...)> {
       // no-op and moves are a fixed-size memcpy, so the event-engine hot
       // path pays no indirect management calls.
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      inline_ = true;
       invoke_ = [](void* s, Args&&... args) -> R {
         return (*std::launder(reinterpret_cast<D*>(s)))(
             std::forward<Args>(args)...);
       };
     } else if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      inline_ = true;
       invoke_ = [](void* s, Args&&... args) -> R {
         return (*std::launder(reinterpret_cast<D*>(s)))(
             std::forward<Args>(args)...);
       };
       manage_ = [](Op op, void* self, void* other) {
-        switch (op) {
-          case Op::kDestroy:
-            std::launder(reinterpret_cast<D*>(self))->~D();
-            break;
-          case Op::kMoveFrom:
-            ::new (self)
-                D(std::move(*std::launder(reinterpret_cast<D*>(other))));
-            std::launder(reinterpret_cast<D*>(other))->~D();
-            break;
+        if (op == Op::kMoveFrom) {
+          ::new (self)
+              D(std::move(*std::launder(reinterpret_cast<D*>(other))));
+          std::launder(reinterpret_cast<D*>(other))->~D();
+        } else if (op == Op::kDestroy) {
+          std::launder(reinterpret_cast<D*>(self))->~D();
         }
+        return false;
       };
     } else {
       ptr(storage_) = new D(std::forward<F>(f));
-      inline_ = false;
       invoke_ = [](void* s, Args&&... args) -> R {
         return (*static_cast<D*>(ptr(s)))(std::forward<Args>(args)...);
       };
       manage_ = [](Op op, void* self, void* other) {
-        switch (op) {
-          case Op::kDestroy:
-            delete static_cast<D*>(ptr(self));
-            break;
-          case Op::kMoveFrom:
-            ptr(self) = std::exchange(ptr(other), nullptr);
-            break;
-        }
+        if (op == Op::kMoveFrom) ptr(self) = std::exchange(ptr(other), nullptr);
+        if (op == Op::kDestroy) delete static_cast<D*>(ptr(self));
+        return true;
       };
     }
   }
@@ -103,16 +96,20 @@ class UniqueFunction<R(Args...)> {
 
   /// True when the target lives on the heap (capture exceeded the inline
   /// buffer or has a throwing move).  False for empty or inline targets.
-  bool heap_allocated() const { return invoke_ != nullptr && !inline_; }
+  bool heap_allocated() const {
+    return manage_ != nullptr && manage_(Op::kIsHeap, nullptr, nullptr);
+  }
 
   R operator()(Args... args) {
     return invoke_(storage_, std::forward<Args>(args)...);
   }
 
  private:
-  enum class Op { kDestroy, kMoveFrom };
+  /// Every op returns whether the target lives on the heap; kIsHeap only
+  /// asks that.
+  enum class Op { kDestroy, kMoveFrom, kIsHeap };
   using Invoke = R (*)(void*, Args&&...);
-  using Manage = void (*)(Op, void* self, void* other);
+  using Manage = bool (*)(Op, void* self, void* other);
 
   template <typename D>
   static constexpr bool fits_inline() {
@@ -137,22 +134,21 @@ class UniqueFunction<R(Args...)> {
   void move_from(UniqueFunction& other) noexcept {
     invoke_ = std::exchange(other.invoke_, nullptr);
     manage_ = std::exchange(other.manage_, nullptr);
-    inline_ = other.inline_;
     if (invoke_) {
       if (manage_) {
         manage_(Op::kMoveFrom, storage_, other.storage_);
       } else {
-        // Trivial inline target: copying the whole buffer (including any
-        // uninitialized tail) is cheaper than a size dispatch.
+        // Trivial inline target: copying the whole buffer is cheaper than
+        // a size dispatch.  The buffer starts zeroed, so a tail the target
+        // does not cover is still initialized.
         std::memcpy(storage_, other.storage_, kInlineBytes);
       }
     }
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  alignas(std::max_align_t) unsigned char storage_[kInlineBytes] = {};
   Invoke invoke_ = nullptr;
   Manage manage_ = nullptr;
-  bool inline_ = false;
 };
 
 }  // namespace polaris::support

@@ -37,7 +37,9 @@ TEST(FabricPresets, UserLevelFabricsHaveMicrosecondOverheads) {
 
 TEST(FabricPresets, RdmaImpliesOsBypass) {
   for (const auto& p : fabrics::all()) {
-    if (p.rdma) EXPECT_TRUE(p.os_bypass) << p.name;
+    if (p.rdma) {
+      EXPECT_TRUE(p.os_bypass) << p.name;
+    }
   }
 }
 

@@ -163,7 +163,9 @@ TEST(MatcherEquivalence, WildcardHeavyTraffic) {
       auto f = fast.post_recv(id, src, tag);
       auto r = ref.post_recv(id, src, tag);
       ASSERT_EQ(f.has_value(), r.has_value()) << i;
-      if (f) ASSERT_EQ(f->cookie, r->cookie) << i;
+      if (f) {
+        ASSERT_EQ(f->cookie, r->cookie) << i;
+      }
     } else {
       Envelope<int> env{static_cast<int>(rng.next() % 3),
                         static_cast<int>(rng.next() % 3), 8,
@@ -171,7 +173,9 @@ TEST(MatcherEquivalence, WildcardHeavyTraffic) {
       auto f = fast.arrive(env);
       auto r = ref.arrive(env);
       ASSERT_EQ(f.has_value(), r.has_value()) << i;
-      if (f) ASSERT_EQ(*f, *r) << i;
+      if (f) {
+        ASSERT_EQ(*f, *r) << i;
+      }
     }
   }
   EXPECT_EQ(fast.posted_depth(), ref.posted_depth());

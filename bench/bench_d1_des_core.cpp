@@ -18,6 +18,7 @@
 // events: the queue is meant to be O(1) at any depth.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -215,6 +216,14 @@ struct RealEngine {
 // the queue stays exactly `depth` deep.  Near delays (1-4,096 ticks) stay
 // in the tick wheel; far ones (30-50 us) land 7-12 blocks ahead, pdes_cg's
 // shape.  Raw callbacks keep the callback wrapper out of the price.
+//
+// The initial events start at the model's stationary residual delays, so
+// the queue starts in its steady shape: a delay of length D covers a given
+// instant with probability proportional to D, and the instant falls
+// uniformly inside it, so r = v * D' with v uniform and D' length-biased,
+// D' = sqrt(lo^2 + u (hi^2 - lo^2)).  Starting every event at a fresh
+// delay would crowd them all into the first delay span (30-50 us for far
+// delays), a density wave that the uniform delays smooth out only slowly.
 
 struct HoldModel {
   polaris::des::Engine eng;
@@ -226,9 +235,21 @@ struct HoldModel {
   std::chrono::steady_clock::time_point t0, t1;
   std::uint64_t allocs0 = 0, allocs1 = 0;  ///< odometer around the timed part
 
-  SimTime delay() {
+  std::uint32_t next() {
     lcg = lcg * 1664525u + 1013904223u;
-    return lo + static_cast<SimTime>((lcg >> 8) % span);
+    return lcg >> 8;
+  }
+
+  SimTime delay() { return lo + static_cast<SimTime>(next() % span); }
+
+  double unit() { return static_cast<double>(next()) * 0x1p-24; }
+
+  /// A draw from the stationary residual delay (see above).
+  SimTime residual_delay() {
+    const auto l = static_cast<double>(lo);
+    const double h = l + static_cast<double>(span - 1);
+    const double biased = std::sqrt(l * l + unit() * (h * h - l * l));
+    return static_cast<SimTime>(unit() * biased);
   }
 
   static void fire(void* p) {
@@ -254,7 +275,8 @@ struct HoldResult {
 
 /// The hold model at `depth` pending events with delays in [lo, hi]: best
 /// ns per event of three trials, each timing `events` firings after
-/// 2 * depth untimed ones bring the queue to its steady state.
+/// 2 * depth untimed ones (the queue starts in its steady shape; these
+/// warm the event pool and the caches).
 HoldResult bench_hold(std::uint64_t depth, SimTime lo, SimTime hi,
                       std::uint64_t events) {
   HoldResult r;
@@ -265,7 +287,8 @@ HoldResult bench_hold(std::uint64_t depth, SimTime lo, SimTime hi,
     h->timed = events;
     h->remaining = 2 * depth + events;
     for (std::uint64_t i = 0; i < depth; ++i) {
-      h->eng.schedule_raw_after(h->delay(), &HoldModel::fire, h.get());
+      h->eng.schedule_raw_after(h->residual_delay(), &HoldModel::fire,
+                                h.get());
     }
     h->eng.run();
     r.ns_per_event = std::min(

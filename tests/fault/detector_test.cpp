@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+
+#include "heap_count.hpp"
+#include "polaris/fault/phi_reference.hpp"
 #include "polaris/support/check.hpp"
 
 namespace polaris::fault {
@@ -105,6 +112,107 @@ TEST(PhiAccrual, WindowBounded) {
   EXPECT_EQ(d.samples(), 10u);
 }
 
+// The running-moment phi against the two-pass reference, over lognormal
+// jitter streams at windows from 2 to 1,000, with and without a bootstrap
+// interval.  Each heartbeat is preceded by two queries: at its own arrival
+// (a healthy node) and after a random silence of up to four periods (phi
+// from 0 up to saturation).
+TEST(PhiAccrual, MatchesTwoPassReference) {
+  constexpr double kPeriod = 1.0;
+  constexpr double kMinStddev = kPeriod / 100.0;
+  const double mu = std::log(kPeriod / 20.0);
+  for (const std::size_t window : {2, 10, 100, 1000}) {
+    for (const double bootstrap : {0.0, kPeriod}) {
+      PhiAccrualDetector det(window, kMinStddev, bootstrap);
+      ReferencePhiAccrualDetector ref(window, kMinStddev, bootstrap);
+      support::Random rng(window + (bootstrap > 0.0 ? 1 : 0));
+      std::size_t off = 0, flips = 0;
+      double worst = 0.0;
+      double last = 0.0;
+      det.heartbeat(last);
+      ref.heartbeat(last);
+      for (std::size_t i = 1; i <= 100'000; ++i) {
+        const double arrival = std::max(
+            static_cast<double>(i) * kPeriod + rng.lognormal(mu, 0.8), last);
+        const double silent = last + rng.uniform(0.0, 4.0 * kPeriod);
+        for (const double t : {arrival, silent}) {
+          const double a = det.phi(t);
+          const double b = ref.phi(t);
+          const double delta = std::abs(a - b);
+          if (!(delta <= 1e-8)) ++off;  // NaN counts as off
+          worst = std::max(worst, delta);
+          for (const double th : {1.0, 2.0, 4.0, 8.0, 12.0}) {
+            if ((a > th) != (b > th)) ++flips;
+          }
+        }
+        det.heartbeat(arrival);
+        ref.heartbeat(arrival);
+        last = arrival;
+      }
+      EXPECT_EQ(off, 0u) << "window " << window << " bootstrap " << bootstrap
+                         << " worst |dphi| " << worst;
+      EXPECT_EQ(flips, 0u) << "window " << window << " bootstrap "
+                           << bootstrap;
+      EXPECT_EQ(det.samples(), window);
+      EXPECT_EQ(det.samples(), ref.samples());
+    }
+  }
+}
+
+// Re-centring bounds the running sums' rounding error: after the period
+// drops 10^4-fold, the slid-out 100 s intervals leave (x - shift)^2 sums
+// whose cancellation would swamp the new jitter without it.  Once the
+// window has turned over, phi matches the reference again.
+TEST(PhiAccrual, RecentringRecoversPrecisionAfterAPeriodChange) {
+  PhiAccrualDetector det(/*window=*/100, /*min_stddev=*/1e-6);
+  ReferencePhiAccrualDetector ref(/*window=*/100, /*min_stddev=*/1e-6);
+  support::Random rng(7);
+  double now = 0.0;
+  std::size_t off = 0;
+  for (int i = 0; i < 3000; ++i) {
+    now += (i < 1000 ? 100.0 : 0.01) * rng.uniform(0.9, 1.1);
+    if (i >= 1200 && !(std::abs(det.phi(now) - ref.phi(now)) <= 1e-8)) {
+      ++off;
+    }
+    det.heartbeat(now);
+    ref.heartbeat(now);
+  }
+  EXPECT_EQ(off, 0u);
+}
+
+// A perfectly regular stream has zero variance, so phi rests on the
+// min_stddev floor.  Here the bootstrap sample (0.3) leaves the window and
+// the running variance rounds slightly below zero; unclamped, its square
+// root would make phi NaN.
+TEST(PhiAccrual, RegularStreamIsFlooredByMinStddev) {
+  constexpr double kMinStddev = 1e-3;
+  PhiAccrualDetector d(/*window=*/10, kMinStddev, /*bootstrap_interval=*/0.3);
+  // P(interval > mean + 2 sd) under the normal fit.
+  const double two_sd = -std::log10(0.5 * std::erfc(2.0 / std::sqrt(2.0)));
+  for (int i = 0; i <= 200; ++i) {
+    const double now = static_cast<double>(i);
+    d.heartbeat(now);
+    const double p = d.phi(now + 1.0 + 2.0 * kMinStddev);
+    ASSERT_TRUE(std::isfinite(p)) << "heartbeat " << i;
+    if (i > 10) {
+      EXPECT_NEAR(p, two_sd, 1e-9) << "heartbeat " << i;
+    }
+  }
+}
+
+TEST(PhiAccrual, HeartbeatAllocatesNothingOnceWindowIsFull) {
+  PhiAccrualDetector d(/*window=*/100);
+  double now = 0.0;
+  for (int i = 0; i <= 100; ++i) d.heartbeat(now += 1.0);
+  const std::uint64_t before = bench::heap_allocations();
+  for (int i = 0; i < 1000; ++i) {
+    d.heartbeat(now += 1.0 + 0.01 * (i % 7));
+  }
+  const std::uint64_t allocs = bench::heap_allocations() - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(d.samples(), 100u);
+}
+
 TEST(PhiAccrual, RejectsDegenerateConfig) {
   EXPECT_THROW(PhiAccrualDetector(1), support::ContractViolation);
   EXPECT_THROW(PhiAccrualDetector(10, 0.0), support::ContractViolation);
@@ -156,6 +264,24 @@ TEST(EvaluatePhi, ReasonableOperatingPoint) {
 TEST(EvaluatePhi, RateIsOverObservedWindowOnly) {
   const auto q = evaluate_phi_detector(1.0, 0.5, 1e-9, 20, 34);
   EXPECT_DOUBLE_EQ(q.false_positive_rate, 1.0);
+}
+
+// F8e's threshold sweep (bench_f8_faults), bit for bit: each run slides
+// the 100-sample window through about 1,000 refreshes, and both results
+// are counts of phi > threshold decisions.
+TEST(EvaluatePhi, F8eOperatingPointsArePinned) {
+  struct Point {
+    double threshold, false_positive_rate, detection_latency;
+  };
+  for (const Point& p : {Point{2.0, 0.023122543479782775, 1.2400000002526212},
+                         Point{4.0, 0.0066607326805948651, 1.3600000002770685},
+                         Point{8.0, 0.0017101881206932762, 1.5600000003178138},
+                         Point{12.0, 0.00074008140895498507,
+                               1.680000000342261}}) {
+    const auto q = evaluate_phi_detector(1.0, 0.8, p.threshold, 100000, 5);
+    EXPECT_EQ(q.false_positive_rate, p.false_positive_rate) << p.threshold;
+    EXPECT_EQ(q.detection_latency, p.detection_latency) << p.threshold;
+  }
 }
 
 TEST(EvaluatePhi, RejectsAllWarmupRuns) {

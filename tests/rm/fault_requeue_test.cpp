@@ -194,6 +194,52 @@ TEST(FaultRequeueTest, PermanentCrashDrainsNodeForGood) {
   }
 }
 
+// completed_jobs() is the O(1) counter the scenario probes read; it must
+// agree with the ledger summary() aggregates at every instant, requeues
+// included.  The run mirrors rack-power-loss: 12 four-wide jobs on 16
+// nodes, a 4-node rack down from 5 s to 35 s, sampled every 50 ms.
+TEST(FaultRequeueTest, CompletedJobsMatchesSummaryAtEveryTick) {
+  des::Engine engine;
+  fabric::Crossbar topo(16);
+  fabric::SimNetwork net(engine, fabric::fabrics::myrinet2000(), topo);
+  fault::Injector injector(engine, net);
+  ResourceManager rm(engine, topo);
+  rm.attach_injector(injector);
+  for (JobId id = 0; id < 12; ++id) {
+    JobSpec s;
+    s.id = id;
+    s.submit = static_cast<double>(id);
+    s.runtime = 20.0;
+    s.width = 4;
+    rm.submit(s);
+  }
+  for (fabric::NodeId node = 4; node < 8; ++node) {
+    injector.schedule_node_crash(/*at=*/5.0, node, /*repair_after=*/30.0);
+  }
+
+  struct Sampler {
+    des::Engine* engine;
+    ResourceManager* rm;
+    std::uint64_t ticks = 0;
+    std::uint64_t mismatches = 0;
+    static void tick_cb(void* ctx) {
+      auto& s = *static_cast<Sampler*>(ctx);
+      ++s.ticks;
+      if (s.rm->completed_jobs() != s.rm->summary().completed) ++s.mismatches;
+      if (s.rm->completed_jobs() < 12) {
+        s.engine->schedule_raw_after(des::from_seconds(0.05), &tick_cb, ctx);
+      }
+    }
+  } sampler{&engine, &rm};
+  engine.schedule_raw_at(0, &Sampler::tick_cb, &sampler);
+  engine.run();
+
+  EXPECT_EQ(sampler.mismatches, 0u);
+  EXPECT_GT(sampler.ticks, 1000u);
+  EXPECT_EQ(rm.completed_jobs(), 12u);
+  EXPECT_GE(rm.summary().requeues, 1u);
+}
+
 struct RunResult {
   std::uint64_t fingerprint = 0;
   AccountingStore::Totals totals;

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "polaris/scenario/library.hpp"
 #include "polaris/support/check.hpp"
@@ -62,6 +64,32 @@ TEST(Scenario, LibraryScenariosReplayBitIdentically) {
     const Verdict a = run_scenario(library_spec(name));
     const Verdict b = run_scenario(library_spec(name));
     EXPECT_EQ(a.to_json(), b.to_json()) << name;
+  }
+}
+
+// Same-seed replay alone cannot catch a change that moves a campaign, so
+// the library's trace hashes are pinned: at each built-in seed, and for
+// detector-tuning-sweep (the phi detector's heaviest campaign) at two
+// more spec seeds.
+TEST(Scenario, LibraryTraceHashesArePinned) {
+  const std::pair<const char*, std::uint64_t> pinned[] = {
+      {"rolling-upgrade-drain", 0xbd6f9dbaa17658bfULL},
+      {"cascading-link-failures", 0x8ad439390bdf4c5aULL},
+      {"rack-power-loss", 0x77319a9d99662395ULL},
+      {"flash-crowd-on-serve", 0xe6450c6105a24b48ULL},
+      {"detector-tuning-sweep", 0x76544d9be8709f0eULL},
+      {"crash-during-collective", 0xbe135f8ffc06d5b7ULL},
+      {"crash-mid-ring", 0x1283880efdd8156dULL},
+  };
+  for (const auto& [name, hash] : pinned) {
+    EXPECT_EQ(run_scenario(library_spec(name)).trace_hash, hash) << name;
+  }
+  for (const auto& [seed, hash] :
+       {std::pair{1.0, 0x4e20b8353ecff3ddULL},
+        std::pair{1000.0, 0x361b8a23e7be1fc5ULL}}) {
+    Json spec = Json::parse(library_spec("detector-tuning-sweep"));
+    spec.set("seed", Json::number(seed));
+    EXPECT_EQ(run_scenario(spec.dump()).trace_hash, hash) << "seed " << seed;
   }
 }
 

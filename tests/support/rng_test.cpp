@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 namespace polaris::support {
@@ -64,6 +65,39 @@ TEST(Random, UniformIntInclusiveBoundsAndCoverage) {
 TEST(Random, UniformIntDegenerateRange) {
   Random r(6);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(r.uniform_int(7, 7), 7);
+}
+
+// Lemire's bounded draw with the rejection threshold computed before the
+// first draw: the form uniform_int must match value for value.
+std::uint64_t eager_lemire(Xoshiro256& gen, std::uint64_t range) {
+  const std::uint64_t threshold = (-range) % range;
+  for (;;) {
+    const __uint128_t m = static_cast<__uint128_t>(gen()) * range;
+    if (static_cast<std::uint64_t>(m) >= threshold) {
+      return static_cast<std::uint64_t>(m >> 64);
+    }
+  }
+}
+
+TEST(Random, UniformIntMatchesEagerLemire) {
+  for (const std::uint64_t range :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{12}, std::uint64_t{1000}, (std::uint64_t{1} << 32) + 1,
+        (std::uint64_t{1} << 63) + 1}) {
+    // [lo, hi] centred on 0; hi - lo overflows int64 at range 2^63 + 1.
+    const auto lo = -static_cast<std::int64_t>((range - 1) / 2);
+    const auto hi = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(lo) + (range - 1));
+    Random lib(range);
+    Xoshiro256 ref(range);
+    for (int i = 0; i < 200'000; ++i) {
+      const auto want = static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(lo) + eager_lemire(ref, range));
+      ASSERT_EQ(lib.uniform_int(lo, hi), want) << "range " << range;
+    }
+    // Same number of generator draws: the streams continue in step.
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(lib.engine()(), ref()) << range;
+  }
 }
 
 TEST(Random, UniformIntRejectsInvertedRange) {

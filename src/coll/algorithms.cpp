@@ -337,20 +337,11 @@ Schedule allreduce_rabenseifner(std::size_t ranks, std::size_t count) {
           hi[partner] - lo[partner], /*reduce=*/false));
     }
     for (int r = 0; r < p; ++r) {
+      // The two segments are adjacent, so a partner merged earlier in this
+      // loop already holds their union and min/max still yields it.
       const int partner = r ^ mask;
-      // Segments are adjacent; merge.
-      const std::size_t nlo = std::min(lo[r], lo[partner]);
-      const std::size_t nhi = std::max(hi[r], hi[partner]);
-      if (r < partner) {
-        lo[r] = nlo;
-        hi[r] = nhi;
-      } else {
-        // partner already merged when it was visited; recompute from its
-        // pre-merge state is wrong — so merge both sides symmetrically
-        // using saved values.  Handled by the two-pass structure below.
-        lo[r] = nlo;
-        hi[r] = nhi;
-      }
+      lo[r] = std::min(lo[r], lo[partner]);
+      hi[r] = std::max(hi[r], hi[partner]);
     }
   }
   return s;

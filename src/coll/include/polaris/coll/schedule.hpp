@@ -88,7 +88,6 @@ struct Schedule {
   bool needs_local_copy = false;
   std::vector<std::vector<CommStep>> per_rank;
 
-  std::size_t step_count(int rank) const { return per_rank.at(rank).size(); }
   std::size_t max_steps() const;
   std::uint64_t total_elements_moved() const;  ///< sum of send counts
 };

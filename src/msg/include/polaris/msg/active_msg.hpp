@@ -3,8 +3,9 @@
 // An active message carries a handler index; delivery runs the registered
 // handler on the payload at the destination — the low-level primitive
 // beneath user-level messaging layers (von Eicken et al.) and the natural
-// API for fabric control traffic (rendezvous RTS/CTS are themselves active
-// messages in both Polaris runtimes).
+// API for fabric control traffic.  Neither Polaris runtime dispatches
+// through this table; each handles its rendezvous RTS/CTS in its own
+// protocol code.
 #pragma once
 
 #include <cstddef>
@@ -23,8 +24,7 @@ using AmHandler =
     support::UniqueFunction<void(int src, std::span<const std::byte>)>;
 
 /// Per-endpoint table of active-message handlers.  Handler ids are dense
-/// and must be registered identically on every endpoint (SPMD convention,
-/// checked by the runtimes).
+/// and must be registered identically on every endpoint (SPMD convention).
 class ActiveMessageTable {
  public:
   /// Registers a handler; returns its id (dense, starting at 0).

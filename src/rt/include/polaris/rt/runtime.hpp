@@ -13,7 +13,7 @@
 //                 completion flag.
 // Tag matching, protocol choice and collective schedules are the same code
 // the simulated runtime uses (polaris::msg / polaris::coll).  A
-// Communicator offers point-to-point, active messages, barrier and
+// Communicator offers point-to-point send/recv/irecv/wait, barrier and
 // allreduce; any other coll schedule (a broadcast, reduce, allgather,
 // alltoall, reduce-scatter or scan) runs through run_schedule.
 #pragma once
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "polaris/coll/algorithms.hpp"
-#include "polaris/msg/active_msg.hpp"
 #include "polaris/msg/tag_matcher.hpp"
 #include "polaris/obs/metrics.hpp"
 #include "polaris/obs/trace.hpp"
@@ -49,18 +48,16 @@ namespace detail {
 
 /// Descriptor travelling through a ring.
 struct WireMsg {
-  enum class Kind : std::uint8_t { kEager, kRts, kAm };
+  enum class Kind : std::uint8_t { kEager, kRts };
   Kind kind = Kind::kEager;
   int src = 0;
   int tag = 0;
   std::uint64_t bytes = 0;
-  /// kEager/kAm: heap payload owned by the message (receiver frees).
+  /// kEager: heap payload owned by the message (receiver frees).
   /// kRts: the sender's user buffer (receiver pulls from it).
   const std::byte* payload = nullptr;
   /// kRts: sender-side completion flag the receiver releases.
   std::atomic<bool>* done_flag = nullptr;
-  /// kAm: handler index.
-  std::uint32_t am_handler = 0;
 };
 
 struct PendingRecv {
@@ -74,8 +71,7 @@ struct PendingRecv {
 
 }  // namespace detail
 
-/// Handle for a nonblocking operation.  Requests are owned by the
-/// issuing Communicator and recycled after wait()/successful test().
+/// Handle for a nonblocking receive; wait() completes and empties it.
 class Request {
  public:
   Request() = default;
@@ -108,17 +104,7 @@ class Communicator {
   RecvStatus recv(int src, int tag, std::span<std::byte> out);
 
   Request irecv(int src, int tag, std::span<std::byte> out);
-  bool test(Request& r);
   RecvStatus wait(Request& r);
-
-  // -- active messages -------------------------------------------------------
-  /// The table is per-rank: every rank registers the same handlers in the
-  /// same order, from its own program, before its first receive or
-  /// progress call (an arriving message waits in the ring until then).
-  msg::AmHandlerId register_am(msg::AmHandler handler);
-  void am_send(int dst, msg::AmHandlerId handler,
-               std::span<const std::byte> payload);
-  std::uint64_t am_dispatched() const { return am_table_.dispatched(); }
 
   // -- collectives (double element type) --------------------------------------
   void barrier();
@@ -169,7 +155,6 @@ class Communicator {
   std::uint64_t next_recv_id_ = 1;
   std::atomic<bool>* abort_flag_ = nullptr;
   std::vector<double> scratch_;
-  msg::ActiveMessageTable am_table_;
   std::uint64_t eager_sends_ = 0;
   std::uint64_t rendezvous_sends_ = 0;
 

@@ -145,12 +145,6 @@ Request Communicator::irecv(int src, int tag, std::span<std::byte> out) {
   return Request(std::move(state));
 }
 
-bool Communicator::test(Request& r) {
-  POLARIS_CHECK_MSG(r.valid(), "test on an empty request");
-  progress();
-  return r.state_->done.load(std::memory_order_acquire);
-}
-
 RecvStatus Communicator::wait(Request& r) {
   POLARIS_CHECK_MSG(r.valid(), "wait on an empty request");
   obs::ScopedSpan span(tracer_, track_, "wait", "p2p");
@@ -190,12 +184,6 @@ std::size_t Communicator::progress() {
 }
 
 void Communicator::handle_incoming(const detail::WireMsg& m) {
-  if (m.kind == detail::WireMsg::Kind::kAm) {
-    am_table_.dispatch(m.am_handler, m.src,
-                       {m.payload, static_cast<std::size_t>(m.bytes)});
-    delete[] m.payload;
-    return;
-  }
   msg::Envelope<detail::WireMsg> env;
   env.src = m.src;
   env.tag = m.tag;
@@ -227,31 +215,6 @@ void Communicator::complete_recv(detail::PendingRecv& pr,
   pr.src = m.src;
   pr.tag = m.tag;
   pr.done.store(true, std::memory_order_release);
-}
-
-msg::AmHandlerId Communicator::register_am(msg::AmHandler handler) {
-  return am_table_.register_handler(std::move(handler));
-}
-
-void Communicator::am_send(int dst, msg::AmHandlerId handler,
-                           std::span<const std::byte> payload) {
-  POLARIS_CHECK(dst >= 0 && dst < size_);
-  obs::ScopedSpan span(tracer_, track_, "am_send", "am");
-  detail::WireMsg m;
-  m.kind = detail::WireMsg::Kind::kAm;
-  m.src = rank_;
-  m.am_handler = handler;
-  m.bytes = payload.size();
-  if (!payload.empty()) {
-    auto* buf = new std::byte[payload.size()];
-    std::memcpy(buf, payload.data(), payload.size());
-    m.payload = buf;
-  }
-  if (dst == rank_) {
-    handle_incoming(m);
-    return;
-  }
-  push_with_progress(dst, m);
 }
 
 // ------------------------------------------------------------ collectives

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -148,35 +146,13 @@ TEST(ShmWorld, IrecvTestEventuallyCompletes) {
     } else {
       int v = 0;
       Request r = c.irecv(0, 0, {reinterpret_cast<std::byte*>(&v), sizeof(v)});
-      while (!c.test(r)) {
-      }
+      EXPECT_TRUE(r.valid());
       const auto st = c.wait(r);
+      EXPECT_FALSE(r.valid());
       EXPECT_EQ(st.bytes, sizeof(int));
       EXPECT_EQ(v, 42);
     }
   });
-}
-
-TEST(ShmWorld, ActiveMessagesDispatchAtDestination) {
-  ShmWorld world(2);
-  std::atomic<int> total{0};
-  world.run([&](Communicator& c) {
-    // SPMD registration: every rank registers the same handler before its
-    // first progress call, so the ids agree and nothing dispatches early.
-    const msg::AmHandlerId id = c.register_am(
-        [&total](int src, std::span<const std::byte> p) {
-          int v;
-          std::memcpy(&v, p.data(), sizeof(v));
-          total += v + src;
-        });
-    if (c.rank() == 0) {
-      const int v = 100;
-      c.am_send(1, id, {reinterpret_cast<const std::byte*>(&v), sizeof(v)});
-    } else {
-      while (c.am_dispatched() == 0) c.progress();
-    }
-  });
-  EXPECT_EQ(total.load(), 100);  // src 0 contributes 0
 }
 
 TEST(ShmWorld, ExceptionInOneRankPropagatesAndUnblocksOthers) {

@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "polaris/coll/algorithms.hpp"
+#include "polaris/des/sync.hpp"
 #include "polaris/simrt/sim_world.hpp"
 #include "polaris/support/table.hpp"
 #include "polaris/support/units.hpp"
@@ -58,18 +59,18 @@ des::Task<void> fused_ring_allreduce(simrt::SimComm& c, std::size_t count,
           static_cast<std::size_t>(chunk_idx));
       (void)off;
       std::uint32_t remaining = 2;
-      des::Trigger done(c.engine());
+      des::OneShotEvent done;
       c.engine().spawn([](simrt::SimComm& cc, int peer, std::uint64_t bytes,
                           std::uint32_t& rem,
-                          des::Trigger& trig) -> des::Task<void> {
+                          des::OneShotEvent& join) -> des::Task<void> {
         co_await cc.send(peer, kTag, bytes);
-        if (--rem == 0) trig.fire();
+        if (--rem == 0) join.fire(cc.engine());
       }(c, right, static_cast<std::uint64_t>(len) * elem_bytes, remaining,
         done));
       c.engine().spawn([](simrt::SimComm& cc, int peer, std::uint32_t& rem,
-                          des::Trigger& trig) -> des::Task<void> {
+                          des::OneShotEvent& join) -> des::Task<void> {
         co_await cc.recv(peer, kTag);
-        if (--rem == 0) trig.fire();
+        if (--rem == 0) join.fire(cc.engine());
       }(c, left, remaining, done));
       co_await done.wait();
     }

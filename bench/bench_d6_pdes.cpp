@@ -22,8 +22,8 @@
 //      "explosion in scale" regime — run to completion with per-rank flat
 //      state instead of per-rank coroutine stacks.
 //
-// Workers are leased from the shared WorkerBudget (POLARIS_SIM_THREADS),
-// so shard counts above the core count time-slice on one thread instead of
+// Workers default to the core count, capped at the shard count, so shard
+// counts above the core count round-robin onto the workers instead of
 // oversubscribing; shard count is a simulation parameter, worker count an
 // execution detail, and neither may change the hash.
 #include <cstdint>

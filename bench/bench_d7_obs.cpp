@@ -108,11 +108,10 @@ enum Variant { kUntraced = 0, kIdle = 1, kArmed = 2 };
 /// this guards that sizing.
 void require_no_drops(const obs::Tracer& tracer, const char* workload) {
   const auto s = tracer.stats();
-  if (s.dropped_ring_full != 0 || s.dropped_no_slot != 0) {
-    std::fprintf(stderr, "FATAL: %s dropped events (ring_full=%llu no_slot=%llu)\n",
+  if (s.dropped_ring_full != 0) {
+    std::fprintf(stderr, "FATAL: %s dropped events (ring_full=%llu)\n",
                  workload,
-                 static_cast<unsigned long long>(s.dropped_ring_full),
-                 static_cast<unsigned long long>(s.dropped_no_slot));
+                 static_cast<unsigned long long>(s.dropped_ring_full));
     std::exit(1);
   }
 }

@@ -13,6 +13,7 @@
 // Engine between threads, it runs whole independent engines concurrently.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "polaris/support/check.hpp"
-#include "polaris/support/thread_budget.hpp"
 
 namespace polaris::des {
 
@@ -35,18 +35,15 @@ std::uint64_t sweep_seed(std::uint64_t base_seed, std::size_t point);
 
 class SweepRunner {
  public:
-  /// `threads` = 0 picks default_threads() and marks the runner *budgeted*:
-  /// each run() leases its workers from support::WorkerBudget, so a sweep
-  /// whose points internally go parallel (pdes shards) composes to the
-  /// POLARIS_SIM_THREADS total instead of multiplying.  An explicit
-  /// `threads` >= 1 is honored exactly (1 = inline, no pool).
+  /// `threads` = 0 picks default_threads(); a count >= 1 is honored
+  /// exactly (1 = inline, no pool).  A run uses at most one thread per
+  /// point.
   explicit SweepRunner(std::size_t threads = 0)
-      : threads_(threads != 0 ? threads : default_threads()),
-        budgeted_(threads == 0) {}
+      : threads_(threads != 0 ? threads : default_threads()) {}
 
   /// POLARIS_SWEEP_THREADS when set (>= 1) — how CI and reproducibility
-  /// checks force serial runs — else the shared WorkerBudget total
-  /// (POLARIS_SIM_THREADS, default hardware concurrency).
+  /// checks force serial runs — else std::thread::hardware_concurrency(),
+  /// at least 1.
   static std::size_t default_threads();
 
   std::size_t threads() const { return threads_; }
@@ -62,14 +59,7 @@ class SweepRunner {
     static_assert(!std::is_void_v<R>,
                   "sweep points must return their result by value");
     std::vector<std::optional<R>> slots(n);
-    const std::size_t want = std::min(threads_, n);
-    auto& budget = support::WorkerBudget::instance();
-    // Budgeted runners take what the ledger can spare (a drained ledger
-    // degrades them to inline); explicit thread counts charge it but run
-    // at the requested width regardless.
-    support::WorkerBudget::Lease lease =
-        budgeted_ ? budget.acquire(want) : budget.acquire_exact(want);
-    const std::size_t workers = lease.workers();
+    const std::size_t workers = std::min(threads_, n);
     if (workers <= 1) {
       for (std::size_t i = 0; i < n; ++i) slots[i].emplace(fn(i));
     } else {
@@ -93,8 +83,8 @@ class SweepRunner {
           }
         }
       };
-      // The calling thread is one of the lease's workers: spawn one fewer
-      // thread and work the queue itself.
+      // The calling thread is one of the workers: spawn one fewer thread
+      // and work the queue itself.
       std::vector<std::thread> pool;
       pool.reserve(workers - 1);
       for (std::size_t w = 0; w + 1 < workers; ++w) pool.emplace_back(body);
@@ -121,7 +111,6 @@ class SweepRunner {
 
  private:
   std::size_t threads_;
-  bool budgeted_ = true;
 };
 
 }  // namespace polaris::des

@@ -1,9 +1,10 @@
 #include "polaris/des/sweep.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <thread>
 
 #include "polaris/support/rng.hpp"
-#include "polaris/support/thread_budget.hpp"
 
 namespace polaris::des {
 
@@ -20,7 +21,7 @@ std::size_t SweepRunner::default_threads() {
     const long v = std::strtol(env, nullptr, 10);
     if (v >= 1) return static_cast<std::size_t>(v);
   }
-  return support::WorkerBudget::instance().total();
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 }  // namespace polaris::des

@@ -16,14 +16,14 @@ HeartbeatService::HeartbeatService(des::Engine& engine,
   for (std::size_t i = 0; i < n; ++i) {
     peers_.push_back(Peer{
         this, static_cast<std::uint32_t>(i),
-        TimeoutDetector(config_.timeout, /*registered_at=*/config_.start),
+        TimeoutDetector(config_.timeout, /*registered_at=*/0.0),
         PhiAccrualDetector(/*window=*/100, /*min_stddev=*/config_.period / 100.0,
                            /*bootstrap_interval=*/config_.period)});
   }
 }
 
 void HeartbeatService::start() {
-  engine_->schedule_raw_at(des::from_seconds(config_.start), &tick_cb, this);
+  engine_->schedule_raw_at(0, &tick_cb, this);
 }
 
 void HeartbeatService::tick_cb(void* ctx) {
@@ -55,8 +55,8 @@ void HeartbeatService::tick() {
     if (!p.inflight && network_->node_up(p.node)) {
       p.inflight = true;
       ++sent_;
-      network_->transfer_raw(p.node, config_.monitor,
-                             config_.heartbeat_bytes, &heartbeat_done_cb, &p);
+      network_->transfer_raw(p.node, config_.monitor, kHeartbeatBytes,
+                             &heartbeat_done_cb, &p);
     }
     if (!p.suspected && (p.timeout.suspect(now) ||
                          p.phi.suspect(now, config_.phi_threshold))) {

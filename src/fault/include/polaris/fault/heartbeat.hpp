@@ -10,10 +10,10 @@
 // suspected_at(n) minus Injector::downed_at(n) is the measured detection
 // latency BENCH_FAULT.json reports.
 //
-// Detectors are constructed with the service start time as the registration
-// instant (a node watched from T > timeout must not be instantly suspected)
-// and the phi window is bootstrapped with the configured period (a node
-// that crashes after a single heartbeat must still accrue suspicion).
+// The first tick is at t = 0, which is also every detector's registration
+// instant, and each heartbeat is kHeartbeatBytes on the wire.  The phi
+// window is bootstrapped with the configured period (a node that crashes
+// after a single heartbeat must still accrue suspicion).
 #pragma once
 
 #include <cstdint>
@@ -31,18 +31,18 @@ class HeartbeatService {
  public:
   struct Config {
     double period = 0.1;        ///< seconds between heartbeats
-    double start = 0.0;         ///< sim time of the first tick
     double horizon = 0.0;       ///< stop ticking past this sim time (0 = never)
     std::uint32_t monitor = 0;  ///< rank that collects heartbeats
     double timeout = 0.5;       ///< TimeoutDetector threshold, seconds
     double phi_threshold = 8.0;
-    std::uint64_t heartbeat_bytes = 8;
   };
+  /// Wire size of one heartbeat.
+  static constexpr std::uint64_t kHeartbeatBytes = 8;
 
   HeartbeatService(des::Engine& engine, fabric::SimNetwork& network,
                    Config config);
 
-  /// Schedules the first tick (at config.start).
+  /// Schedules the first tick (at t = 0).
   void start();
 
   bool suspected(std::uint32_t node) const;

@@ -82,7 +82,7 @@ struct TraceEvent {
 };
 
 /// Handle for an open span: a (track, open-slot) pair.  An invalid id
-/// (unsampled span, slot limit reached) makes end_span a no-op.
+/// (unsampled span) makes end_span a no-op.
 struct SpanId {
   std::size_t index = std::numeric_limits<std::size_t>::max();
   bool valid() const {
@@ -100,15 +100,6 @@ struct RingOptions {
   /// recorded iff k % sample_every == 0 (rounded up to a power of two).
   /// Counters keep exact totals either way.  1 = record everything.
   std::uint32_t sample_every = 1;
-  /// Concurrently-open spans per track (begin/end pairs in flight); 0 =
-  /// grow on demand.  A begin_span past the limit is dropped and counted.
-  std::uint32_t open_span_slots = 0;
-  /// Upper bound on add_track() calls (contract-checked).  The always-on
-  /// per-track counters are reserved densely for this many tracks —
-  /// several tracks per cache line — so the sampled-away record path
-  /// touches one hot line instead of each track's log header.  The
-  /// reservation is not zeroed, and dead tracers' reservations are reused.
-  std::size_t max_tracks = 4096;
 };
 
 namespace detail {
@@ -151,8 +142,8 @@ inline std::uint64_t read(std::uint64_t& c) {
 /// but these — stays cache-resident even with dozens of live tracks.  The
 /// per-kind totals double as the sampling phase.  Single-writer per track
 /// (the concurrency contract), accessed through bump()/read().  Trivial,
-/// so reserving max_tracks entries costs no zeroing; 32-byte aligned so an
-/// entry never straddles a line.
+/// so reserving Tracer::kMaxTracks entries costs no zeroing; 32-byte
+/// aligned so an entry never straddles a line.
 struct alignas(32) HotCounters {
   std::uint64_t spans_total;
   std::uint64_t instants_total;
@@ -182,9 +173,8 @@ struct TrackLog {
   // and short-lived tracers leave no large holes in the heap (32 KiB
   // segments raised chaos_library's peak RSS).
   static constexpr std::size_t kSegmentEvents = 128;
-  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  TrackLog(std::size_t ring_capacity, std::uint32_t slot_limit);
+  explicit TrackLog(std::size_t ring_capacity);
   TrackLog(const TrackLog&) = delete;
   TrackLog& operator=(const TrackLog&) = delete;
   ~TrackLog();
@@ -228,7 +218,6 @@ struct TrackLog {
 
   const bool bounded;
   const std::size_t mask;  // segment capacity - 1
-  const std::uint32_t slot_limit;  // 0 = grow on demand
   // Producer line: head, the write segment, the sequence counter, the slot
   // pool and sampled/drop accounting, padded away from tail so the
   // consumer's tail stores never invalidate it.  Counters are single-writer
@@ -241,7 +230,6 @@ struct TrackLog {
   std::atomic<std::uint32_t> open_live{0};
   std::uint64_t sampled_events = 0;
   std::uint64_t dropped_ring_full = 0;
-  std::uint64_t dropped_no_slot = 0;
   // Allocated events: the producer adds, the drainer subtracts.
   std::atomic<std::uint64_t> capacity_events{0};
   // Consumer-owned (the producer sets `first` once, before publishing its
@@ -251,14 +239,12 @@ struct TrackLog {
   std::uint64_t first_index = 0;
 };
 
-/// A tracer's dense per-track arrays, reserved for max_tracks tracks and
-/// left uninitialized (add_track sets each entry it hands out).
+/// A tracer's dense per-track arrays, reserved for Tracer::kMaxTracks
+/// tracks and left uninitialized (add_track sets each entry it hands out).
 struct TrackArrays {
   explicit TrackArrays(std::size_t tracks)
-      : capacity(tracks),
-        hot(std::make_unique_for_overwrite<HotCounters[]>(tracks)),
+      : hot(std::make_unique_for_overwrite<HotCounters[]>(tracks)),
         logs(std::make_unique_for_overwrite<TrackLog*[]>(tracks)) {}
-  const std::size_t capacity;
   std::unique_ptr<HotCounters[]> hot;
   std::unique_ptr<TrackLog*[]> logs;
 };
@@ -267,6 +253,13 @@ struct TrackArrays {
 
 class Tracer {
  public:
+  /// Upper bound on add_track() calls (contract-checked).  The always-on
+  /// per-track counters are reserved densely for this many tracks —
+  /// several tracks per cache line — so the sampled-away record path
+  /// touches one hot line instead of each track's log header.  The
+  /// reservation is not zeroed, and dead tracers' reservations are reused.
+  static constexpr std::size_t kMaxTracks = 4096;
+
   /// Tracer stamped by `clock`; the clock must outlive the tracer.  The
   /// default options record every event.
   explicit Tracer(const ClockSource& clock, const RingOptions& opts = {})
@@ -396,7 +389,6 @@ class Tracer {
     std::uint64_t span_ns_total = 0;
     std::uint64_t sampled_events = 0;
     std::uint64_t dropped_ring_full = 0;
-    std::uint64_t dropped_no_slot = 0;
     std::uint64_t drained_events = 0;
     std::size_t interned_names = 0;
     std::size_t ring_capacity_events = 0;  ///< allocated, all tracks
@@ -424,7 +416,7 @@ class Tracer {
     return *arrays_->logs[track];
   }
 
-  /// Dense always-on counters for a track (reserved for max_tracks at
+  /// Dense always-on counters for a track (reserved for kMaxTracks at
   /// construction, so the pointer never moves).
   detail::HotCounters& hot(TrackId track) const {
     POLARIS_DCHECK(track < log_count_.load(std::memory_order_relaxed));
@@ -453,7 +445,7 @@ class Tracer {
   std::uint64_t sample_mask_ = 0;
   detail::HotCounters* hot_ = nullptr;  // arrays_->hot
 
-  // Per-track arrays reserved for max_tracks, so neither moves while
+  // Per-track arrays reserved for kMaxTracks, so neither moves while
   // producers run; entry i is written before log_count_ is released past
   // it, so record() never takes mu_.  Track logs are owned by logs_.
   std::unique_ptr<detail::TrackArrays> arrays_;
@@ -523,10 +515,12 @@ class TraceStreamWriter {
   std::vector<detail::BatchEvent> batch_;  // reused scratch
 };
 
-/// FNV-1a fingerprint of the tracer's exported JSON (write_json byte
-/// stream).  Two runs that produced the same trace hash to the same value
-/// on every platform — the cheap "did these runs behave identically?"
-/// check the scenario runner's determinism verdicts are built on.
+/// Fingerprint of the tracer's exported JSON (write_json byte stream):
+/// FNV-1a's loop from the start value 1469598103934665603, not FNV-1a's
+/// offset basis (kept because pinned hashes depend on it).  Two runs that
+/// produced the same trace hash to the same value on every platform — the
+/// cheap "did these runs behave identically?" check the scenario runner's
+/// determinism verdicts are built on.
 std::uint64_t trace_hash(const Tracer& tracer);
 
 /// RAII span; a null tracer makes every operation a no-op, so call sites

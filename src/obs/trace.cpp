@@ -18,17 +18,17 @@ std::uint64_t round_up_pow2(std::uint64_t v) {
 }
 
 /// Keeps the last dead tracer's per-track arrays for the next tracer.
-/// Handing a max_tracks-sized block back to malloc after every short-lived
+/// Handing a kMaxTracks-sized block back to malloc after every short-lived
 /// tracer leaves holes that later allocations fragment (chaos_library peak
 /// RSS +3.6% median, up to +18%, over 10 runs).
 class SpareArrays {
  public:
-  std::unique_ptr<detail::TrackArrays> take(std::size_t tracks) {
+  std::unique_ptr<detail::TrackArrays> take() {
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      if (spare_ && spare_->capacity == tracks) return std::move(spare_);
+      if (spare_) return std::move(spare_);
     }
-    return std::make_unique<detail::TrackArrays>(tracks);
+    return std::make_unique<detail::TrackArrays>(Tracer::kMaxTracks);
   }
   void give(std::unique_ptr<detail::TrackArrays> arrays) {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -51,12 +51,11 @@ SpareArrays& spare_arrays() {
 
 namespace detail {
 
-TrackLog::TrackLog(std::size_t ring_capacity, std::uint32_t slot_limit)
+TrackLog::TrackLog(std::size_t ring_capacity)
     : bounded(ring_capacity > 0),
       mask(static_cast<std::size_t>(
                bounded ? round_up_pow2(ring_capacity) : kSegmentEvents) -
-           1),
-      slot_limit(slot_limit) {}
+           1) {}
 
 TrackLog::~TrackLog() {
   for (Segment* seg = first; seg != nullptr;) {
@@ -108,11 +107,9 @@ std::uint32_t TrackLog::claim_slot() {
   if (!free_slots.empty()) {
     slot = free_slots.back();
     free_slots.pop_back();
-  } else if (slot_limit == 0 || open.size() < slot_limit) {
+  } else {
     slot = static_cast<std::uint32_t>(open.size());
     open.emplace_back();
-  } else {
-    return kNoSlot;
   }
   open_live.store(open_live.load(std::memory_order_relaxed) + 1,
                   std::memory_order_relaxed);
@@ -130,9 +127,8 @@ void TrackLog::release_slot(std::uint32_t slot) {
 
 Tracer::Tracer(const ClockSource* clock, const RingOptions& opts)
     : clock_(clock), opts_(opts) {
-  POLARIS_CHECK(opts_.max_tracks > 0);
   sample_mask_ = round_up_pow2(opts_.sample_every) - 1;
-  arrays_ = spare_arrays().take(opts_.max_tracks);
+  arrays_ = spare_arrays().take();
   hot_ = arrays_->hot.get();
 }
 
@@ -140,14 +136,13 @@ Tracer::~Tracer() { spare_arrays().give(std::move(arrays_)); }
 
 TrackId Tracer::add_track(std::string process, std::string name) {
   const std::lock_guard<std::mutex> lock(mu_);
-  POLARIS_CHECK_MSG(tracks_.size() < opts_.max_tracks,
-                    "RingOptions::max_tracks exceeded");
+  POLARIS_CHECK_MSG(tracks_.size() < kMaxTracks,
+                    "Tracer::kMaxTracks exceeded");
   tracks_.push_back(Track{std::move(process), std::move(name)});
   const auto id = static_cast<TrackId>(tracks_.size() - 1);
   hot_[id] = detail::HotCounters{};
   arrays_->logs[id] = logs_.emplace_back(std::make_unique<detail::TrackLog>(
-                                             opts_.ring_capacity,
-                                             opts_.open_span_slots))
+                                             opts_.ring_capacity))
                           .get();
   log_count_.store(tracks_.size(), std::memory_order_release);
   return id;
@@ -178,10 +173,6 @@ SpanId Tracer::begin_span_sampled(TrackId track, NameId name,
                                   NameId category) {
   detail::TrackLog& log = this->log(track);
   const std::uint32_t slot = log.claim_slot();
-  if (slot == detail::TrackLog::kNoSlot) {
-    detail::bump(log.dropped_no_slot);
-    return SpanId{};
-  }
   log.open[slot] = {now_ns(), name, category, log.next_seq++, true};
   return SpanId{(static_cast<std::size_t>(track) << 32) | slot};
 }
@@ -315,7 +306,6 @@ Tracer::Stats Tracer::stats() const {
     s.span_ns_total += detail::read(h.span_ns_total);
     s.sampled_events += detail::read(log.sampled_events);
     s.dropped_ring_full += detail::read(log.dropped_ring_full);
-    s.dropped_no_slot += detail::read(log.dropped_no_slot);
     s.drained_events += log.tail.load(std::memory_order_relaxed);
     s.ring_capacity_events +=
         log.capacity_events.load(std::memory_order_relaxed);
@@ -509,7 +499,10 @@ std::uint64_t trace_hash(const Tracer& tracer) {
   std::ostringstream os;
   tracer.write_json(os);
   const std::string json = os.str();
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+  // FNV-1a's loop and prime, but not its offset basis: this start value is
+  // one digit short of 14695981039346656037.  It stays, because the pinned
+  // campaign hashes and the fingerprints built on them depend on it.
+  std::uint64_t h = 1469598103934665603ull;
   for (const char c : json) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;

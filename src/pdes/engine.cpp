@@ -9,7 +9,6 @@
 
 #include "polaris/rt/wait.hpp"
 #include "polaris/support/check.hpp"
-#include "polaris/support/thread_budget.hpp"
 
 namespace polaris::pdes {
 
@@ -66,12 +65,10 @@ Result ShardedEngine::run() {
   ran_ = true;
 
   const std::size_t shards = cfg_.shards;
-  auto& budget = support::WorkerBudget::instance();
-  support::WorkerBudget::Lease lease =
-      cfg_.workers == 0
-          ? budget.acquire(shards)
-          : budget.acquire_exact(std::min(cfg_.workers, shards));
-  const std::size_t workers = std::min(lease.workers(), shards);
+  const std::size_t workers = std::min<std::size_t>(
+      cfg_.workers != 0 ? cfg_.workers
+                        : std::max(1u, std::thread::hardware_concurrency()),
+      shards);
 
   const des::SimTime lookahead = des::from_seconds(part_.lookahead_s);
   POLARIS_CHECK_MSG(lookahead >= 1, "fabric lookahead below one tick");
@@ -151,7 +148,7 @@ Result ShardedEngine::run() {
   for (std::size_t wi = 0; wi + 1 < workers; ++wi) {
     pool.emplace_back(worker, wi);
   }
-  worker(workers - 1);  // the caller is one of the lease's workers
+  worker(workers - 1);  // the caller is one of the workers
   for (auto& t : pool) t.join();
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)

@@ -58,9 +58,8 @@ struct Config {
   Workload workload;
   fabric::FabricParams fabric = fabric::fabrics::myrinet2000();
   std::size_t shards = 1;
-  /// OS threads driving the shards.  0 = lease from the shared
-  /// support::WorkerBudget (POLARIS_SIM_THREADS); an explicit value is
-  /// honored exactly (clamped to the shard count).
+  /// OS threads driving the shards, clamped to the shard count.  0 = the
+  /// hardware concurrency (at least 1).
   std::size_t workers = 0;
   /// Cross-shard channel ring depth (per ordered shard pair).  Overflow
   /// spills to a mutex-protected vector, so this sizes the fast path only.

@@ -30,8 +30,6 @@
 // irrelevant: the consumer sorts each window's batch into canonical
 // (t, src, phase, kind, seq) order before scheduling.
 //
-// Worker threads are leased from support::WorkerBudget, so pdes shards
-// compose with SweepRunner points instead of multiplying thread counts.
 // Shard count is the *simulation* parameter (it must not change results);
 // worker count is purely an execution parameter (shards round-robin onto
 // workers).  Per-window metrics follow the same ownership: each ShardWorld

@@ -620,9 +620,9 @@ class PdesHarness final : public Harness {
     if (verb != "run") unknown_action(verb);
     pdes::Config cfg = base_;
     cfg.shards = static_cast<std::size_t>(args.num_or("shards", 1));
-    // workers 0 = lease from POLARIS_SIM_THREADS: the same spec exercises
-    // whatever parallelism the host grants, and the golden hash (hence
-    // the scenario trace hash) must not move.
+    // workers 0 = one per core: the same spec runs at whatever
+    // parallelism the host has, and the golden hash (hence the scenario
+    // trace hash) must not move.
     cfg.workers = static_cast<std::size_t>(args.num_or("workers", 0));
     const pdes::Result r = pdes::run(cfg);
     // Only shard/worker-invariant fields go into the trace: the hash, the

@@ -20,7 +20,7 @@
 // engine: workload and scenario interleave deterministically, all
 // randomness flows from the spec seed, and the whole run is a pure
 // function of (spec bytes) — the verdict, the obs trace, and the trace's
-// FNV hash replay bit-identically at any POLARIS_SIM_THREADS.
+// hash replay bit-identically at any worker count.
 //
 // Tree grammar (one distinguishing key per node):
 //   {"seq": [...]}                      sequence
@@ -76,8 +76,9 @@ struct Verdict {
   std::uint64_t ticks = 0;
   double end_time_s = 0.0;
 
-  /// FNV-1a of the run's exported obs trace: the determinism fingerprint
-  /// (same spec + seed => same hash at any worker count).
+  /// obs::trace_hash of the run's exported trace (FNV-1a's loop from a
+  /// non-standard start value): the determinism fingerprint (same spec +
+  /// seed => same hash at any worker count).
   std::uint64_t trace_hash = 0;
   std::uint64_t trace_events = 0;
 

@@ -618,8 +618,7 @@ des::Task<SimStatus> SimComm::run_schedule(const coll::Schedule& schedule,
   for (const coll::CommStep& step : schedule.per_rank[rank_]) {
     if (step.has_send() && step.has_recv()) {
       // Post both concurrently (MPI_Sendrecv) and join.  This coroutine is
-      // the join's only waiter, so a OneShotEvent does what a Trigger
-      // would, through the same single zero-delay wakeup event.
+      // the join's only waiter.
       std::uint32_t remaining = 2;
       des::OneShotEvent done;
       SimStatus send_st = SimStatus::kOk;

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "polaris/des/engine.hpp"
@@ -83,6 +87,48 @@ TEST(SweepRunner, ZeroPointsIsEmpty) {
 TEST(SweepRunner, ExplicitThreadCountWins) {
   EXPECT_EQ(SweepRunner(3).threads(), 3u);
   EXPECT_GE(SweepRunner().threads(), 1u);
+}
+
+TEST(SweepRunner, DefaultThreadsIsAtLeastOne) {
+  EXPECT_GE(SweepRunner::default_threads(), 1u);
+  EXPECT_EQ(SweepRunner().threads(), SweepRunner::default_threads());
+}
+
+// POLARIS_SWEEP_THREADS may ask for more threads than there are cores,
+// and a default-constructed runner then runs that many points at once.
+TEST(SweepRunner, SweepThreadsVariableIsHonoredAboveTheCoreCount) {
+  const char* old = std::getenv("POLARIS_SWEEP_THREADS");
+  const std::string saved = old != nullptr ? old : "";
+  const std::size_t want =
+      std::max(1u, std::thread::hardware_concurrency()) + 1;
+  ::setenv("POLARIS_SWEEP_THREADS", std::to_string(want).c_str(), 1);
+  SweepRunner runner;
+  if (old != nullptr) {
+    ::setenv("POLARIS_SWEEP_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("POLARIS_SWEEP_THREADS");
+  }
+  EXPECT_EQ(runner.threads(), want);
+
+  // Every point stays in flight until `want` points have been in flight
+  // together, or a deadline passes, so a narrower pool fails instead of
+  // hanging.
+  std::atomic<std::size_t> inside{0};
+  std::atomic<std::size_t> peak{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  runner.run(want, [&](std::size_t) {
+    const std::size_t now_inside = inside.fetch_add(1) + 1;
+    std::size_t seen = peak.load();
+    while (seen < now_inside && !peak.compare_exchange_weak(seen, now_inside)) {
+    }
+    while (peak.load() < want && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    inside.fetch_sub(1);
+    return 0;
+  });
+  EXPECT_EQ(peak.load(), want);
 }
 
 TEST(SweepSeed, DeterministicAndDecorrelated) {

@@ -9,71 +9,69 @@
 namespace polaris::des {
 namespace {
 
-// ---------------------------------------------------------------- Trigger
+// ----------------------------------------------------------- OneShotEvent
 
-Task<void> wait_trigger(Trigger& t, Engine& e, std::vector<SimTime>& log) {
-  co_await t.wait();
+Task<void> wait_event(OneShotEvent& ev, Engine& e, std::vector<SimTime>& log) {
+  co_await ev.wait();
   log.push_back(e.now());
 }
 
-Task<void> fire_later(Trigger& t, Engine& e, SimTime at) {
+Task<void> fire_later(OneShotEvent& ev, Engine& e, SimTime at) {
   co_await delay(e, at);
-  t.fire();
+  ev.fire(e);
 }
 
-TEST(Trigger, ReleasesAllWaitersAtFireTime) {
+TEST(OneShotEvent, WakesTheWaiterAtFireTime) {
   Engine e;
-  Trigger t(e);
+  OneShotEvent ev;
   std::vector<SimTime> log;
-  e.spawn(wait_trigger(t, e, log));
-  e.spawn(wait_trigger(t, e, log));
-  e.spawn(fire_later(t, e, 50));
+  e.spawn(wait_event(ev, e, log));
+  e.spawn(fire_later(ev, e, 50));
   e.run();
-  EXPECT_EQ(log, (std::vector<SimTime>{50, 50}));
-  EXPECT_TRUE(t.fired());
+  EXPECT_EQ(log, (std::vector<SimTime>{50}));
+  EXPECT_TRUE(ev.fired());
 }
 
-Task<void> wait_after(Trigger& t, Engine& e, SimTime at, int id,
-                      std::vector<int>& order) {
-  co_await delay(e, at);
-  co_await t.wait();
-  order.push_back(id);
-}
-
-TEST(Trigger, WakesWaitersInTheOrderTheyWaited) {
-  // Spawned 1, 2, 3 but waiting from t = 3, 2, 1.
+TEST(OneShotEvent, AwaitAfterFireCompletesImmediately) {
   Engine e;
-  Trigger t(e);
-  std::vector<int> order;
-  e.spawn(wait_after(t, e, 3, 1, order));
-  e.spawn(wait_after(t, e, 2, 2, order));
-  e.spawn(wait_after(t, e, 1, 3, order));
-  e.spawn(fire_later(t, e, 10));
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
-}
-
-TEST(Trigger, AwaitAfterFireCompletesImmediately) {
-  Engine e;
-  Trigger t(e);
-  t.fire();
+  OneShotEvent ev;
+  ev.fire(e);
   std::vector<SimTime> log;
-  e.spawn(wait_trigger(t, e, log));
+  e.spawn(wait_event(ev, e, log));
   e.run();
   EXPECT_EQ(log, (std::vector<SimTime>{0}));
 }
 
-TEST(Trigger, FireIsIdempotent) {
+TEST(OneShotEvent, FireIsIdempotent) {
   Engine e;
-  Trigger t(e);
+  OneShotEvent ev;
   std::vector<SimTime> log;
-  e.spawn(wait_trigger(t, e, log));
+  e.spawn(wait_event(ev, e, log));
   e.schedule_at(10, [&] {
-    t.fire();
-    t.fire();
+    ev.fire(e);
+    ev.fire(e);
   });
-  e.run();
+  EXPECT_EQ(e.run(), 3u);  // the spawn, the fire and one wakeup
   EXPECT_EQ(log.size(), 1u);
+}
+
+TEST(OneShotEvent, ResetRearmsTheEvent) {
+  Engine e;
+  OneShotEvent ev;
+  std::vector<SimTime> log;
+  e.spawn(wait_event(ev, e, log));
+  e.spawn(fire_later(ev, e, 10));
+  e.run();
+  ASSERT_EQ(log, (std::vector<SimTime>{10}));
+
+  // A rearmed event parks its next waiter until it fires again.
+  ev.reset();
+  EXPECT_FALSE(ev.fired());
+  e.spawn(wait_event(ev, e, log));
+  e.spawn(fire_later(ev, e, 30));
+  e.run();
+  EXPECT_EQ(log, (std::vector<SimTime>{10, 40}));
+  EXPECT_TRUE(ev.fired());
 }
 
 }  // namespace

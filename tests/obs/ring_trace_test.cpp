@@ -73,25 +73,6 @@ TEST(RingTracer, BeginEndSpanRecordsThroughSlotPool) {
   EXPECT_GE(events[0].dur_ns, 0);
 }
 
-TEST(RingTracer, OpenSlotExhaustionDropsInsteadOfBlocking) {
-  WallClock clock;
-  RingOptions opts;
-  opts.open_span_slots = 1;
-  Tracer tracer(clock, opts);
-  const TrackId t = tracer.add_track("ranks", "rank 0");
-  const NameId n = tracer.intern("outer");
-  const SpanId a = tracer.begin_span(t, n);
-  const SpanId b = tracer.begin_span(t, n);  // pool exhausted
-  EXPECT_TRUE(a.valid());
-  EXPECT_FALSE(b.valid());
-  tracer.end_span(b);  // invalid id: silent no-op
-  tracer.end_span(a);
-  const Tracer::Stats s = tracer.stats();
-  EXPECT_EQ(s.spans_total, 2u);
-  EXPECT_EQ(s.dropped_no_slot, 1u);
-  EXPECT_EQ(tracer.snapshot().size(), 1u);
-}
-
 TEST(RingTracer, FullRingDropsNewestAndCountsDrops) {
   Tracer tracer(small_ring(8));
   const TrackId t = tracer.add_track("ranks", "rank 0");
@@ -396,7 +377,7 @@ TEST(RingTracer, UnboundedLogDrainsConcurrentlyInBoundedMemory) {
   const Tracer::Stats s = tracer.stats();
   EXPECT_EQ(s.spans_total + s.instants_total, total);
   EXPECT_EQ(s.sampled_events, total);
-  EXPECT_EQ(s.dropped_ring_full + s.dropped_no_slot, 0u);
+  EXPECT_EQ(s.dropped_ring_full, 0u);
   EXPECT_EQ(s.drained_events, total);
   EXPECT_EQ(writer.events_written(), total);
   EXPECT_EQ(tracer.event_count(), 0u);
@@ -405,7 +386,7 @@ TEST(RingTracer, UnboundedLogDrainsConcurrentlyInBoundedMemory) {
   EXPECT_EQ(s.ring_capacity_events, kSegment);  // only the write segment
 }
 
-// The per-track arrays are reserved for max_tracks and never move: a
+// The per-track arrays are reserved for kMaxTracks and never move: a
 // thread keeps recording on track 0 while the main thread adds tracks and
 // records on each.  A later tracer reuses the arrays and starts from zero.
 TEST(RingTracer, TracksAddedWhileRecordingAndReusedArraysStartAtZero) {
@@ -441,12 +422,12 @@ TEST(RingTracer, TracksAddedWhileRecordingAndReusedArraysStartAtZero) {
       EXPECT_EQ(ev.start_ns, t);
     }
   }
-  RingOptions small;
-  small.max_tracks = 2;
-  Tracer tracer(small);
-  tracer.add_track("ranks", "rank 0");
-  tracer.add_track("ranks", "rank 1");
-  EXPECT_THROW(tracer.add_track("ranks", "rank 2"),
+  Tracer full;
+  for (std::size_t t = 0; t < Tracer::kMaxTracks; ++t) {
+    full.add_track("links", "link " + std::to_string(t));
+  }
+  EXPECT_EQ(full.track_count(), Tracer::kMaxTracks);
+  EXPECT_THROW(full.add_track("links", "one too many"),
                support::ContractViolation);
 }
 

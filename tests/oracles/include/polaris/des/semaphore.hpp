@@ -2,7 +2,7 @@
 //
 // The reference network (polaris/fabric/reference.hpp) holds one per
 // directed link; nothing in the libraries uses it.  Wakeups go through a
-// zero-delay engine event, like des::Trigger's.
+// zero-delay engine event, like des::OneShotEvent's.
 #pragma once
 
 #include <coroutine>

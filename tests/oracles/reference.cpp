@@ -55,15 +55,16 @@ des::Task<void> ReferenceNetwork::transfer(NodeId src, NodeId dst,
 
   // One sub-process per packet; they pipeline through the per-link FIFO
   // semaphores.  `remaining`/`done` live in this frame, which outlives the
-  // packets because we await `done` below.
+  // packets because we await `done` below; this coroutine is its only
+  // waiter.
   std::uint32_t remaining = plan.count;
-  des::Trigger done(engine_);
+  des::OneShotEvent done;
   for (std::uint32_t i = 0; i < plan.count; ++i) {
     engine_.spawn([](ReferenceNetwork& net, std::vector<LinkId> p,
                      std::uint64_t pkt, std::uint32_t& rem,
-                     des::Trigger& trig) -> des::Task<void> {
+                     des::OneShotEvent& join) -> des::Task<void> {
       co_await net.send_packet(std::move(p), pkt);
-      if (--rem == 0) trig.fire();
+      if (--rem == 0) join.fire(net.engine());
     }(*this, path, plan.bytes_per_packet, remaining, done));
   }
   co_await done.wait();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "polaris/obs/metrics.hpp"
 #include "polaris/support/check.hpp"
 
@@ -76,6 +79,19 @@ TEST(ShardedEngine, SingleRankFinishesInstantly) {
   // A 1x1 torus has no distinct neighbors: nothing to wait for.
   EXPECT_EQ(r.ranks_ok, 1u);
   EXPECT_EQ(r.msgs_intra + r.msgs_cross, 0u);
+}
+
+TEST(ShardedEngine, WorkerCountIsRequestOrCoresCappedAtShards) {
+  Config cfg = halo_cfg(8, 8, 1);
+  cfg.shards = 4;
+  EXPECT_EQ(run(cfg).workers,
+            std::min<std::size_t>(
+                4, std::max(1u, std::thread::hardware_concurrency())));
+  cfg.shards = 2;
+  cfg.workers = 3;
+  EXPECT_EQ(run(cfg).workers, 2u);
+  cfg.workers = 1;
+  EXPECT_EQ(run(cfg).workers, 1u);
 }
 
 TEST(ShardedEngine, ZeroIterationsIsEmptyRun) {

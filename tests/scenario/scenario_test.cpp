@@ -108,7 +108,7 @@ TEST(Scenario, MutatedSpecMovesTheFingerprint) {
 }
 
 TEST(Scenario, PdesGoldenHashIsShardAndWorkerInvariant) {
-  // Explicit worker counts pin the POLARIS_SIM_THREADS contract directly:
+  // Explicit worker counts pin the worker-invariance contract directly:
   // the same faulted workload must fold to one golden hash at every
   // execution shape, and the scenario itself must replay identically.
   constexpr std::string_view spec = R"({

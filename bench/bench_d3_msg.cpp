@@ -1,7 +1,7 @@
 // D3 — messaging-core throughput: the bucketed tag matcher against the
 // linear reference it replaced, and the pooled simrt in-flight path.
 //
-// Four sections:
+// Five sections:
 //
 //  1. Incast matching: one matcher holding 512 posted receives (64 sources
 //     x 8 tags) takes randomized arrivals, each repost keeping the depth
@@ -16,6 +16,11 @@
 //     absolute messages/s through the full protocol + fabric stack.
 //  4. CG-pattern churn: 16 ranks on a 4x4 torus, each round posting 4
 //     irecvs + 4 isends and wait_all-ing them (the SpMV halo inner loop).
+//  5. Scale: building a 4,096-rank world on a 64x64 Myrinet torus, and
+//     selecting the algorithm for its first 16-byte allreduce, each timed
+//     and with the heap bytes it asked for.  Per-rank state that grew
+//     with the world, or a selection that built every candidate, would
+//     show here as megabytes per rank or gigabytes per selection.
 //
 // Sections 3 and 4 also check that the steady state allocates nothing.
 // The binary links heap_count.cpp's counting global operator new, so the
@@ -33,10 +38,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "polaris/coll/cost.hpp"
+#include "polaris/fabric/topology.hpp"
 #include "polaris/msg/reference_matcher.hpp"
 #include "polaris/msg/tag_matcher.hpp"
 #include "polaris/simrt/sim_world.hpp"
@@ -290,6 +298,43 @@ int main() {
   report.add("cg.msgs_per_sec", cg_msg_rate, "msgs/s");
   report.add("cg.steady_state_allocs", static_cast<double>(cg.allocs),
              "count");
+
+  // -- 5. world construction and first selection at scale -------------------
+  constexpr std::size_t kScaleSide = 64;
+  constexpr std::size_t kScaleRanks = kScaleSide * kScaleSide;
+  const std::uint64_t build_b0 = bench::heap_bytes();
+  const auto build_t0 = std::chrono::steady_clock::now();
+  simrt::SimWorld big(kScaleRanks, fabric::fabrics::myrinet2000(),
+                      std::make_unique<fabric::Torus2D>(kScaleSide,
+                                                        kScaleSide));
+  const double build_ms = 1e3 * seconds_since(build_t0);
+  const double build_bytes_per_rank =
+      static_cast<double>(bench::heap_bytes() - build_b0) / kScaleRanks;
+  // As SimWorld::collective_schedule asks for a 16-byte allreduce.
+  const std::uint64_t select_b0 = bench::heap_bytes();
+  const auto select_t0 = std::chrono::steady_clock::now();
+  const coll::Algorithm chosen = coll::select_algorithm(
+      coll::Collective::kAllreduce, kScaleRanks, 16, 1, big.loggp());
+  const double select_ms = 1e3 * seconds_since(select_t0);
+  const auto select_bytes =
+      static_cast<double>(bench::heap_bytes() - select_b0);
+
+  std::cout << "\n";
+  support::Table t5("D3e: 4,096-rank world, 64x64 myrinet torus");
+  t5.header({"metric", "value"});
+  t5.add("construction ms", support::Table::to_cell(build_ms));
+  t5.add("construction heap B/rank",
+         support::Table::to_cell(build_bytes_per_rank));
+  t5.add("16 B allreduce selection ms", support::Table::to_cell(select_ms));
+  t5.add("16 B allreduce selection heap B",
+         support::Table::to_cell(select_bytes));
+  t5.print(std::cout);
+  report.note("scale.ranks", std::to_string(kScaleRanks));
+  report.note("scale.selected", coll::to_string(chosen));
+  report.add("scale.construction_ms", build_ms, "ms");
+  report.add("scale.construction_bytes_per_rank", build_bytes_per_rank, "B");
+  report.add("scale.selection_ms", select_ms, "ms");
+  report.add("scale.selection_bytes", select_bytes, "B");
 
   if (!report.write_file("BENCH_MSG.json")) {
     std::cerr << "warning: could not write BENCH_MSG.json\n";

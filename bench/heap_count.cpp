@@ -8,10 +8,12 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -26,5 +28,7 @@ namespace polaris::bench {
 std::uint64_t heap_allocations() {
   return g_allocs.load(std::memory_order_relaxed);
 }
+
+std::uint64_t heap_bytes() { return g_bytes.load(std::memory_order_relaxed); }
 
 }  // namespace polaris::bench

@@ -1,12 +1,13 @@
 #include "polaris/coll/cost.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
 #include <limits>
-#include <map>
 #include <stdexcept>
+#include <vector>
 
 #include "polaris/support/check.hpp"
+#include "polaris/support/flat_map.hpp"
 
 namespace polaris::coll {
 
@@ -23,14 +24,71 @@ double payload_bytes(std::size_t count, std::size_t elem_bytes) {
   return std::max(b, static_cast<double>(kEnvelopeBytes));
 }
 
+/// Per ordered (src, dst) pair, the FIFO of message arrival times.  A
+/// pre-pass counts each pair's sends, so every channel is a fixed slice of
+/// one flat array with a head and a tail cursor: no heap node per channel.
+class Channels {
+ public:
+  explicit Channels(const Schedule& schedule) {
+    for (std::size_t r = 0; r < schedule.per_rank.size(); ++r) {
+      for (const CommStep& s : schedule.per_rank[r]) {
+        if (!s.has_send()) continue;
+        std::size_t& c = index_[key(static_cast<int>(r), s.send_peer)];
+        if (c == 0) {
+          fifos_.emplace_back();
+          c = fifos_.size();  // 1-based: 0 is the map's default value
+        }
+        ++fifos_[c - 1].tail;
+      }
+    }
+    std::size_t begin = 0;
+    for (Fifo& f : fifos_) {
+      const std::size_t sends = f.tail;
+      f.head = f.tail = begin;
+      begin += sends;
+    }
+    arrivals_.resize(begin);
+  }
+
+  void push(int src, int dst, double arrival) {
+    Fifo& f = fifos_[*index_.find(key(src, dst)) - 1];
+    arrivals_[f.tail++] = arrival;
+  }
+
+  /// The oldest arrival from src to dst, removed; false if none is queued.
+  bool pop(int src, int dst, double& arrival) {
+    const std::size_t* c = index_.find(key(src, dst));
+    if (c == nullptr) return false;
+    Fifo& f = fifos_[*c - 1];
+    if (f.head == f.tail) return false;
+    arrival = arrivals_[f.head++];
+    return true;
+  }
+
+ private:
+  struct Fifo {
+    std::size_t head = 0;
+    std::size_t tail = 0;
+  };
+
+  static std::uint64_t key(int src, int dst) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
+            << 32) |
+           static_cast<std::uint32_t>(dst);
+  }
+
+  support::FlatMap64<std::size_t> index_;
+  std::vector<Fifo> fifos_;
+  std::vector<double> arrivals_;
+};
+
 }  // namespace
 
 double predicted_seconds(const Schedule& schedule,
                          const fabric::LogGPParams& net,
                          std::size_t elem_bytes) {
   const std::size_t p = schedule.ranks;
-  // Per ordered pair, FIFO queue of message arrival times.
-  std::map<std::pair<int, int>, std::deque<double>> channels;
+  Channels channels(schedule);
   std::vector<RankState> state(p);
 
   std::size_t done = 0;
@@ -48,16 +106,14 @@ double predicted_seconds(const Schedule& schedule,
           const double bytes = payload_bytes(s.send_count, elem_bytes);
           const double arrival =
               st.clock + net.o_s + net.L + (bytes - 1.0) * net.G;
-          channels[{static_cast<int>(r), s.send_peer}].push_back(arrival);
+          channels.push(static_cast<int>(r), s.send_peer, arrival);
           st.clock += std::max(net.o_s, net.g);
           st.sent_current = true;
           progressed = true;
         }
         if (s.has_recv()) {
-          auto& ch = channels[{s.recv_peer, static_cast<int>(r)}];
-          if (ch.empty()) break;
-          const double arrival = ch.front();
-          ch.pop_front();
+          double arrival = 0.0;
+          if (!channels.pop(s.recv_peer, static_cast<int>(r), arrival)) break;
           st.clock = std::max(st.clock, arrival) + net.o_r;
           progressed = true;
         }
@@ -77,6 +133,17 @@ double predicted_seconds(const Schedule& schedule,
   return t;
 }
 
+double ring_allreduce_floor(std::size_t ranks,
+                            const fabric::LogGPParams& net) {
+  const std::size_t steps = ranks > 1 ? 2 * (ranks - 1) : 0;
+  double clock = 0.0;
+  for (std::size_t step = 0; step < steps; ++step) {
+    clock += std::max(net.o_s, net.g);
+    clock += net.o_r;
+  }
+  return clock;
+}
+
 Algorithm select_algorithm(Collective kind, std::size_t ranks,
                            std::size_t count, std::size_t elem_bytes,
                            const fabric::LogGPParams& net, int root) {
@@ -87,6 +154,12 @@ Algorithm select_algorithm(Collective kind, std::size_t ranks,
   for (Algorithm a : candidates) {
     if (a == Algorithm::kBinomial && root != 0 &&
         (kind == Collective::kGather || kind == Collective::kScatter)) {
+      continue;
+    }
+    // Ring allreduce's schedule holds 2(p-1) steps per rank; a candidate
+    // whose floor already loses cannot win, so it is never built.
+    if (kind == Collective::kAllreduce && a == Algorithm::kRing &&
+        ring_allreduce_floor(ranks, net) > best_t) {
       continue;
     }
     const Schedule s = make_schedule(kind, a, ranks, count, root);

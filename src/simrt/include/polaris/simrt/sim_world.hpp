@@ -25,9 +25,12 @@
 // des::OneShotEvents.  Eager wire delivery runs as a raw-callback chain
 // through fabric::SimNetwork::transfer_raw (no spawned coroutine frame),
 // and a rendezvous leg awaits SimNetwork::transfer(), an awaiter over the
-// same call.  Out-of-order network completions park in per-source ring
-// buffers indexed by sequence number, and nonblocking requests are pooled
-// slot+generation handles.  The coroutine frames a message still creates
+// same call.  Each (src, dst) pair that exchanges messages has one
+// sequencing record, made on its first send and owned by the SimWorld: the
+// send and expected sequence numbers, and a ring where out-of-order network
+// completions park by sequence number.  A world's messaging state thus
+// grows with the pairs its traffic uses, not with ranks².  Nonblocking
+// requests are pooled slot+generation handles.  The coroutine frames a message still creates
 // (send, recv and the calls they await) come from des's thread-local frame
 // recycler, so once the pools and the recycler are warm the path makes no
 // heap allocation; bench_d3_msg checks that by counting global operator
@@ -103,6 +106,7 @@ struct InFlight {
   int tag = 0;
   std::uint64_t bytes = 0;
   std::uint64_t seq = 0;  ///< per (src,dst) issue order (non-overtaking)
+  std::uint32_t pair = 0;  ///< the (src,dst) PairSeq record's index
   msg::Protocol proto = msg::Protocol::kEager;
   des::OneShotEvent matched;    ///< recv posted & matched
   des::OneShotEvent delivered;  ///< payload landed
@@ -115,6 +119,17 @@ struct InFlight {
   std::uint8_t retries_used = 0;      ///< eager wire retries consumed
   bool dropped = false;               ///< gave up; seq advanced, no delivery
   des::EventId sync_timeout{};        ///< rendezvous match-wait deadline
+};
+
+/// Sequencing state of one (src, dst) pair, made on the pair's first send.
+/// Messages leave in send_seq order and reach the matcher in expect_seq
+/// order (MPI non-overtaking); a network completion that overtakes parks in
+/// `held` at its sequence number mod the ring's size (a power of two grown
+/// to the largest in-flight sequence window).
+struct PairSeq {
+  std::uint64_t send_seq = 0;
+  std::uint64_t expect_seq = 0;
+  std::vector<std::uint32_t> held;  ///< InFlight slots, kNilSlot if empty
 };
 
 /// Matcher cookie: a generation-checked handle into the InFlight pool.
@@ -324,19 +339,16 @@ class SimComm {
     std::uint32_t gen = 0;
   };
 
-  /// Per-source hold ring for out-of-order network completions: slot of
-  /// the InFlight with sequence s lives at s mod capacity (capacity is a
-  /// power of two grown to the largest in-flight sequence window).
-  struct HoldRing {
-    std::vector<std::uint32_t> slots;
-  };
+  SimComm(SimWorld& world, int rank);
 
-  SimComm(SimWorld& world, int rank, std::size_t ranks);
+  /// Index of the (rank_, dst) PairSeq record, made on first use.
+  std::uint32_t pair_to(int dst);
 
-  /// The body of send(); `seq` was assigned by the caller at issue time.
+  /// The body of send(); `seq` of record `pair` was assigned by the caller
+  /// at issue time.
   des::Task<SimStatus> send_impl(int dst, int tag, std::uint64_t bytes,
                                  std::uintptr_t buffer_addr,
-                                 std::uint64_t seq);
+                                 std::uint32_t pair, std::uint64_t seq);
 
   /// Matcher posting done eagerly at recv()/irecv() call time.
   struct RecvTicket {
@@ -357,8 +369,8 @@ class SimComm {
                                                fabric::NodeId dst,
                                                std::uint64_t bytes);
   des::Task<void> isend_body(int dst, int tag, std::uint64_t bytes,
-                             std::uintptr_t buffer_addr, std::uint64_t seq,
-                             std::uint32_t request_slot);
+                             std::uintptr_t buffer_addr, std::uint32_t pair,
+                             std::uint64_t seq, std::uint32_t request_slot);
   des::Task<void> irecv_body(RecvTicket ticket, std::uint32_t request_slot);
 
   /// Eager wire chain (replaces the spawned deliver_eager coroutine):
@@ -376,10 +388,10 @@ class SimComm {
   /// with kPeerDown if the peer's node is down, kTimeout otherwise.
   static void rdv_sync_timeout_cb(void* ctx);
 
-  /// Applies an arrival in per-source issue order (MPI non-overtaking).
+  /// Applies an arrival in per-pair issue order (MPI non-overtaking).
   void arrive_ordered(std::uint32_t inflight_slot);
   void deliver_to_matcher(std::uint32_t inflight_slot);
-  void hold_out_of_order(int src, std::uint32_t inflight_slot);
+  void hold_out_of_order(detail::PairSeq& pair, std::uint32_t inflight_slot);
 
   /// Host carrying `rank` (world placement; identity by default).
   fabric::NodeId node_of(int rank) const;
@@ -392,12 +404,9 @@ class SimComm {
   // References into both pools are held across awaits.
   support::SlabPool<PendingRecv> pending_pool_;
   support::SlabPool<Request> request_pool_;
-  // Per-destination send sequence numbers; per-source expected arrival
-  // sequence + hold ring for out-of-order network completions.
-  std::vector<std::uint64_t> send_seq_;
-  std::vector<std::uint64_t> expect_seq_;
-  std::vector<HoldRing> held_;
-  std::size_t held_count_ = 0;
+  // Destination rank -> index of this rank's PairSeq record to it.
+  support::FlatMap64<std::uint32_t> pair_of_dst_;
+  std::size_t held_count_ = 0;  ///< messages parked in rings to this rank
   std::size_t max_held_ = 0;
   des::SimTime earliest_next_send_ = 0;
   std::uint64_t eager_count_ = 0;
@@ -556,6 +565,9 @@ class SimWorld {
   // collective_schedule() hands out stay stable across cache growth.
   support::FlatMap64<std::uint32_t> schedule_cache_;
   std::deque<coll::Schedule> schedules_;
+  // One sequencing record per (src, dst) pair with traffic, never freed;
+  // a deque, so references stay valid as the world's traffic adds pairs.
+  std::deque<detail::PairSeq> pairs_;
   // Raw-chain contexts point at these records.
   support::SlabPool<detail::InFlight> inflight_pool_;
   std::size_t max_inflight_in_use_ = 0;

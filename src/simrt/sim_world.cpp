@@ -28,12 +28,7 @@ SimStatus from_xfer(fabric::XferStatus status) {
 
 // ----------------------------------------------------------------- SimComm
 
-SimComm::SimComm(SimWorld& world, int rank, std::size_t ranks)
-    : world_(&world),
-      rank_(rank),
-      send_seq_(ranks, 0),
-      expect_seq_(ranks, 0),
-      held_(ranks) {
+SimComm::SimComm(SimWorld& world, int rank) : world_(&world), rank_(rank) {
   const auto& p = world.params();
   // 256 MiB pin-down budget per NIC, costs from the fabric model.
   reg_cache_ = std::make_unique<msg::RegistrationCache>(
@@ -58,15 +53,28 @@ std::uintptr_t SimComm::default_addr() const {
   return (static_cast<std::uintptr_t>(rank_) + 1) << 32;
 }
 
+std::uint32_t SimComm::pair_to(int dst) {
+  // Stored as index + 1, so the map's default 0 marks a new pair.
+  std::uint32_t& entry = pair_of_dst_[static_cast<std::uint64_t>(dst)];
+  if (entry == 0) {
+    world_->pairs_.emplace_back();
+    entry = static_cast<std::uint32_t>(world_->pairs_.size());
+  }
+  return entry - 1;
+}
+
 des::Task<SimStatus> SimComm::send(int dst, int tag, std::uint64_t bytes,
                                    std::uintptr_t buffer_addr) {
   POLARIS_CHECK(dst >= 0 && dst < size());
-  return send_impl(dst, tag, bytes, buffer_addr, send_seq_[dst]++);
+  const std::uint32_t pair = pair_to(dst);
+  return send_impl(dst, tag, bytes, buffer_addr, pair,
+                   world_->pairs_[pair].send_seq++);
 }
 
 des::Task<SimStatus> SimComm::send_impl(int dst, int tag,
                                         std::uint64_t bytes,
                                         std::uintptr_t buffer_addr,
+                                        std::uint32_t pair,
                                         std::uint64_t seq) {
   auto& pool = world_->inflight_pool_;
   const std::uint32_t slot = pool.acquire();
@@ -86,6 +94,7 @@ des::Task<SimStatus> SimComm::send_impl(int dst, int tag,
   f.tag = tag;
   f.bytes = bytes;
   f.seq = seq;
+  f.pair = pair;
   f.proto = msg::choose_protocol(world_->params(), bytes,
                                  world_->eager_threshold());
 
@@ -317,52 +326,56 @@ des::Task<SimStatus> SimComm::send_rendezvous(detail::InFlight& f,
 
 void SimComm::arrive_ordered(std::uint32_t inflight_slot) {
   detail::InFlight& f = world_->inflight(inflight_slot);
-  const int src = f.src;
-  if (f.seq != expect_seq_[static_cast<std::size_t>(src)]) {
-    hold_out_of_order(src, inflight_slot);
+  // deliver_to_matcher may release the InFlight; from there on only the
+  // record is read.
+  detail::PairSeq& pair = world_->pairs_[f.pair];
+  if (f.seq != pair.expect_seq) {
+    hold_out_of_order(pair, inflight_slot);
     return;
   }
   deliver_to_matcher(inflight_slot);
-  std::uint64_t& expect = expect_seq_[static_cast<std::size_t>(src)];
-  ++expect;
+  ++pair.expect_seq;
   // Drain consecutively-sequenced messages parked in the hold ring.
-  HoldRing& ring = held_[static_cast<std::size_t>(src)];
-  while (!ring.slots.empty()) {
+  std::vector<std::uint32_t>& ring = pair.held;
+  while (!ring.empty()) {
     const std::size_t idx =
-        static_cast<std::size_t>(expect) & (ring.slots.size() - 1);
-    const std::uint32_t held = ring.slots[idx];
-    if (held == kNilSlot || world_->inflight(held).seq != expect) break;
-    ring.slots[idx] = kNilSlot;
+        static_cast<std::size_t>(pair.expect_seq) & (ring.size() - 1);
+    const std::uint32_t held = ring[idx];
+    if (held == kNilSlot || world_->inflight(held).seq != pair.expect_seq) {
+      break;
+    }
+    ring[idx] = kNilSlot;
     --held_count_;
     deliver_to_matcher(held);
-    ++expect;
+    ++pair.expect_seq;
   }
 }
 
-void SimComm::hold_out_of_order(int src, std::uint32_t inflight_slot) {
-  HoldRing& ring = held_[static_cast<std::size_t>(src)];
+void SimComm::hold_out_of_order(detail::PairSeq& pair,
+                                std::uint32_t inflight_slot) {
+  std::vector<std::uint32_t>& ring = pair.held;
   const std::uint64_t seq = world_->inflight(inflight_slot).seq;
-  const std::uint64_t expect = expect_seq_[static_cast<std::size_t>(src)];
+  const std::uint64_t expect = pair.expect_seq;
   POLARIS_DCHECK(seq > expect);
   // Grow the ring (power of two) until the in-flight window [expect, seq]
   // fits, re-slotting parked entries at their seq's new index.
-  std::size_t cap = ring.slots.size();
+  std::size_t cap = ring.size();
   if (cap == 0 || seq - expect >= cap) {
     std::size_t need = cap == 0 ? 4 : cap * 2;
     while (seq - expect >= need) need *= 2;
     std::vector<std::uint32_t> grown(need, kNilSlot);
-    for (const std::uint32_t s : ring.slots) {
+    for (const std::uint32_t s : ring) {
       if (s != kNilSlot) {
         grown[static_cast<std::size_t>(world_->inflight(s).seq) &
               (need - 1)] = s;
       }
     }
-    ring.slots.swap(grown);
+    ring.swap(grown);
     cap = need;
   }
   const std::size_t idx = static_cast<std::size_t>(seq) & (cap - 1);
-  POLARIS_DCHECK(ring.slots[idx] == kNilSlot);
-  ring.slots[idx] = inflight_slot;
+  POLARIS_DCHECK(ring[idx] == kNilSlot);
+  ring[idx] = inflight_slot;
   ++held_count_;
   max_held_ = std::max(max_held_, held_count_);
 }
@@ -533,16 +546,18 @@ SimRequest SimComm::isend(int dst, int tag, std::uint64_t bytes,
                           std::uintptr_t buffer_addr) {
   POLARIS_CHECK(dst >= 0 && dst < size());
   const std::uint32_t slot = request_pool_.acquire();
-  world_->engine().spawn(
-      isend_body(dst, tag, bytes, buffer_addr, send_seq_[dst]++, slot));
+  const std::uint32_t pair = pair_to(dst);
+  world_->engine().spawn(isend_body(dst, tag, bytes, buffer_addr, pair,
+                                    world_->pairs_[pair].send_seq++, slot));
   return SimRequest(slot, request_pool_[slot].gen);
 }
 
 des::Task<void> SimComm::isend_body(int dst, int tag, std::uint64_t bytes,
                                     std::uintptr_t buffer_addr,
-                                    std::uint64_t seq,
+                                    std::uint32_t pair, std::uint64_t seq,
                                     std::uint32_t request_slot) {
-  const SimStatus st = co_await send_impl(dst, tag, bytes, buffer_addr, seq);
+  const SimStatus st =
+      co_await send_impl(dst, tag, bytes, buffer_addr, pair, seq);
   Request& r = request_pool_[request_slot];
   r.status = {.status = st};
   r.done.fire(world_->engine());
@@ -694,8 +709,8 @@ SimWorld::SimWorld(std::size_t ranks, fabric::FabricParams fabric_params,
       engine_, std::move(fabric_params), *topo_);
   comms_.reserve(ranks);
   for (std::size_t r = 0; r < ranks; ++r) {
-    comms_.push_back(std::unique_ptr<SimComm>(
-        new SimComm(*this, static_cast<int>(r), ranks)));
+    comms_.push_back(
+        std::unique_ptr<SimComm>(new SimComm(*this, static_cast<int>(r))));
   }
 }
 

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "polaris/fabric/topology.hpp"
 #include "polaris/msg/protocol.hpp"
+#include "heap_count.hpp"
 
 namespace polaris::simrt {
 namespace {
@@ -392,6 +396,27 @@ TEST(SimWorldNonblocking, ConcurrentExchangeOverlaps) {
   });
   ref.run();
   EXPECT_LT(elapsed, 6.0 * one);
+}
+
+/// Heap bytes per rank to build (and tear down) a side x side Myrinet
+/// torus world, topology included.
+double construction_bytes_per_rank(std::size_t side) {
+  const std::uint64_t before = bench::heap_bytes();
+  {
+    SimWorld world(side * side, myrinet2000(),
+                   std::make_unique<fabric::Torus2D>(side, side));
+  }
+  return static_cast<double>(bench::heap_bytes() - before) /
+         static_cast<double>(side * side);
+}
+
+TEST(SimWorld, ConstructionBytesPerRankStayFlat) {
+  // Per-rank state that grew with the world (one entry per peer) would
+  // quadruple here; sequencing records made per communicating pair do not.
+  const double at256 = construction_bytes_per_rank(16);
+  const double at1024 = construction_bytes_per_rank(32);
+  EXPECT_LE(at1024, 1.25 * at256) << at256 << " B/rank at 256 ranks, "
+                                  << at1024 << " B/rank at 1,024";
 }
 
 }  // namespace

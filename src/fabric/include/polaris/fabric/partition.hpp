@@ -15,14 +15,11 @@
 // at a dead node's NIC pay wire latency only, and the bound must cover
 // them too.
 //
-// ShardHandoff is the serialized form a cross-shard message takes on an
-// rt::SpscRing between shard workers: a fixed-size trivially-copyable
-// record, so channels never allocate and a push is a 40-byte store.
+// What crosses a cut, and how, is the simulator's business: pdes hands its
+// own delivery records between shards (pdes/engine.hpp).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "polaris/fabric/params.hpp"
@@ -30,41 +27,12 @@
 
 namespace polaris::fabric {
 
-/// What a cross-shard handoff record carries.
-enum class HandoffKind : std::uint8_t {
-  kPayload = 0,  ///< application bytes arriving at dst
-  kNack = 1,     ///< delivery failure report returning to src
-};
-
-/// One cross-shard message on the wire between shard workers.  Timestamped
-/// with its simulated *arrival* time at the destination host; `seq` is the
-/// sender-channel sequence number that (with src/phase/kind) makes the
-/// destination's ingestion order canonical regardless of shard count.
-struct ShardHandoff {
-  std::int64_t t = 0;        ///< arrival time at dst, engine ticks
-  std::uint64_t bytes = 0;   ///< payload size (0 for control)
-  std::uint32_t src = 0;     ///< originating rank (global NodeId)
-  std::uint32_t dst = 0;     ///< destination rank (global NodeId)
-  std::uint32_t phase = 0;   ///< sender's program phase when issued
-  std::uint32_t seq = 0;     ///< per-channel sequence number
-  std::uint8_t kind = 0;     ///< HandoffKind
-  std::uint8_t status = 0;   ///< XferStatus payload for kNack
-  std::uint8_t lane = 0;     ///< app-defined sub-channel (halo direction)
-  std::uint8_t pad[5] = {};  ///< explicit tail padding
-};
-static_assert(sizeof(ShardHandoff) == 40, "handoff record layout drifted");
-static_assert(std::is_trivially_copyable_v<ShardHandoff>,
-              "handoffs must memcpy across ring channels");
-
 /// A block partition of a topology's hosts into contiguous shards.
 struct Partition {
   std::size_t shards = 1;
   /// first_node[s] .. first_node[s+1]-1 are shard s's hosts
   /// (first_node.size() == shards + 1, last entry == node_count).
   std::vector<NodeId> first_node;
-  /// Ordered host pairs split across shards (diagnostic: how much of the
-  /// machine's pairwise traffic could cross a boundary).
-  std::uint64_t cut_host_pairs = 0;
   /// Minimum switch hops on any cross-shard host-to-host path.
   std::size_t min_cut_switch_hops = 1;
   /// Conservative window width: no cross-shard effect can occur sooner

@@ -23,16 +23,6 @@ Partition make_block_partition(std::size_t nodes,
   }
   p.first_node[shards] = static_cast<NodeId>(nodes);
 
-  // Ordered cross-shard pairs: N^2 minus the within-shard blocks.
-  std::uint64_t same = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::uint64_t b = p.shard_size(s);
-    same += b * b;
-  }
-  p.cut_host_pairs =
-      static_cast<std::uint64_t>(nodes) * static_cast<std::uint64_t>(nodes) -
-      same;
-
   // Grid topologies (tori) attach each host to its own switch: any
   // distinct-host path is host -> switch -> ... -> switch -> host with at
   // least two switch traversals.  Single-switch and tree fabrics can

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <exception>
+#include <mutex>
 #include <thread>
 
 #include "polaris/rt/wait.hpp"
@@ -23,41 +23,7 @@ ShardedEngine::ShardedEngine(Config cfg) : cfg_(std::move(cfg)) {
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
     worlds_.push_back(std::make_unique<ShardWorld>(cfg_, part_, s, this));
   }
-  const std::size_t cap =
-      std::bit_ceil(std::max<std::size_t>(cfg_.channel_capacity, 2));
-  channels_.resize(cfg_.shards * cfg_.shards);
-  for (std::size_t s = 0; s < cfg_.shards; ++s) {
-    for (std::size_t d = 0; d < cfg_.shards; ++d) {
-      if (s != d) {
-        channels_[s * cfg_.shards + d] = std::make_unique<Channel>(cap);
-      }
-    }
-  }
-}
-
-void ShardedEngine::push_handoff(std::size_t src, std::size_t dst,
-                                 fabric::ShardHandoff h) {
-  Channel& ch = channel(src, dst);
-  h.seq = ch.seq++;
-  if (!ch.ring.try_push(h)) {
-    // Mid-window the consumer is not draining, so a full ring must not
-    // block the producer: spill on the side.  Order does not matter — the
-    // consumer canonically sorts each window's batch.
-    const std::lock_guard<std::mutex> lock(ch.mu);
-    ch.spill.push_back(h);
-  }
-}
-
-void ShardedEngine::drain_into(std::size_t dst,
-                               std::vector<fabric::ShardHandoff>& out) {
-  for (std::size_t src = 0; src < part_.shards; ++src) {
-    if (src == dst) continue;
-    Channel& ch = channel(src, dst);
-    ch.ring.drain([&out](fabric::ShardHandoff&& h) { out.push_back(h); });
-    const std::lock_guard<std::mutex> lock(ch.mu);
-    out.insert(out.end(), ch.spill.begin(), ch.spill.end());
-    ch.spill.clear();
-  }
+  mail_.resize(2 * cfg_.shards * cfg_.shards);
 }
 
 Result ShardedEngine::run() {
@@ -103,7 +69,7 @@ Result ShardedEngine::run() {
     for (;;) {
       barrier.arrive_and_wait([&] {
         // Serial section: all shards quiesced; their pre-barrier writes
-        // (report[], channel contents) are visible here.
+        // (report[], mailbox contents) are visible here.
         if (failed.load(std::memory_order_relaxed)) {
           done = true;
           return;

@@ -10,7 +10,9 @@
 //
 // The golden hash in Result is the determinism contract: it folds every
 // rank's per-phase completion trace in global rank order and must be
-// bit-identical at any shard count and any worker count.
+// bit-identical at any shard count and any worker count.  Those two counts
+// are the only execution settings; the cross-shard mailboxes size
+// themselves to the busiest window's handoffs.
 #pragma once
 
 #include <cstddef>
@@ -61,9 +63,6 @@ struct Config {
   /// OS threads driving the shards, clamped to the shard count.  0 = the
   /// hardware concurrency (at least 1).
   std::size_t workers = 0;
-  /// Cross-shard channel ring depth (per ordered shard pair).  Overflow
-  /// spills to a mutex-protected vector, so this sizes the fast path only.
-  std::size_t channel_capacity = 4096;
   std::vector<RankFault> faults;
 };
 

@@ -22,15 +22,16 @@
 // would wake them late by a large share of a window: a 20us sleep lasts
 // about 75us on a 4-core x86 VM, where windows last 0.1-0.4 ms.
 //
-// Cross-shard handoffs travel on per-ordered-shard-pair rt::SpscRing
-// channels (single producer: the source shard's worker; single consumer:
-// the destination's).  A full ring must not block mid-window — the
-// consumer only drains at its window prologue — so overflow spills to a
-// mutex-protected vector on the side.  Arrival order off the wire is
-// irrelevant: the consumer sorts each window's batch into canonical
-// (t, src, phase, kind, seq) order, then folds each payload into its
-// receiver (a run without faults) or schedules each handoff as an engine
-// event (a run with faults; see world.hpp).
+// Cross-shard handoffs go to mailboxes: two plain vectors per ordered shard
+// pair, one for each window parity.  During window w the source shard's
+// worker appends to side w; when window w + 1 starts, the destination's
+// worker copies and clears that side while this window's handoffs go to
+// the other.  The window barrier between the two orders every access, so
+// a mailbox needs no lock, no atomics and no capacity: it keeps the
+// largest window's worth of room.  The consumer sorts each window's batch
+// into canonical (t, src, phase, kind, push order), then folds each
+// payload into its receiver (a run without faults) or schedules each
+// handoff as an engine event (a run with faults; see world.hpp).
 //
 // Shard count is the *simulation* parameter (it must not change results);
 // worker count is purely an execution parameter (shards round-robin onto
@@ -40,13 +41,11 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "polaris/fabric/partition.hpp"
 #include "polaris/pdes/config.hpp"
 #include "polaris/pdes/world.hpp"
-#include "polaris/rt/spsc_ring.hpp"
 #include "polaris/support/check.hpp"
 
 namespace polaris::pdes {
@@ -70,29 +69,24 @@ class ShardedEngine {
   }
 
   // -- internal: shard-worker wire (called by ShardWorld) -------------------
-  /// Producer side: only shard `src`'s worker pushes on (src, dst).
-  void push_handoff(std::size_t src, std::size_t dst,
-                    fabric::ShardHandoff h);
-  /// Consumer side: only shard `dst`'s worker drains its inbound channels.
-  void drain_into(std::size_t dst, std::vector<fabric::ShardHandoff>& out);
+  /// The mailbox shard `src` fills for shard `dst` during window `w`; only
+  /// src's worker appends to it, and only dst's worker empties it, when
+  /// window w + 1 starts.
+  std::vector<ShardWorld::Handoff>& mailbox(std::size_t src, std::size_t dst,
+                                            std::uint64_t w) {
+    return mail_[((w & 1) * part_.shards + src) * part_.shards + dst].box;
+  }
 
  private:
-  struct Channel {
-    explicit Channel(std::size_t cap) : ring(cap) {}
-    rt::SpscRing<fabric::ShardHandoff> ring;
-    std::mutex mu;                           // guards spill only
-    std::vector<fabric::ShardHandoff> spill; // ring-full overflow
-    std::uint32_t seq = 0;                   // producer-side stamp
+  /// On a cache line of its own: shards append to theirs concurrently.
+  struct alignas(64) Mailbox {
+    std::vector<ShardWorld::Handoff> box;
   };
-
-  Channel& channel(std::size_t src, std::size_t dst) {
-    return *channels_[src * part_.shards + dst];
-  }
 
   Config cfg_;
   fabric::Partition part_;
   std::vector<std::unique_ptr<ShardWorld>> worlds_;
-  std::vector<std::unique_ptr<Channel>> channels_;
+  std::vector<Mailbox> mail_;  ///< [window parity][src][dst]
   bool ran_ = false;
 };
 

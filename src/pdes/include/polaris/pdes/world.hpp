@@ -92,6 +92,33 @@ struct RankState {
 
 class ShardWorld {
  public:
+  enum class Kind : std::uint8_t {
+    kPayload = 0,
+    kNack = 1,
+    kPhaseStart = 2,
+    kCrash = 3,
+  };
+
+  /// One delivery or control event: what an engine event captures by value
+  /// (with the world pointer), and what a handoff carries to another shard.
+  struct MsgRec {
+    std::uint32_t src = 0;    ///< global rank (payload sender / NACK origin)
+    std::uint32_t dst = 0;    ///< local rank index on the receiving shard
+    std::uint32_t phase = 0;
+    Kind kind = Kind::kPayload;
+    std::uint8_t status = 0;
+    std::uint8_t lane = 0;
+  };
+
+  /// A delivery handed to another shard: its record, its arrival tick, and
+  /// its index in the mailbox it was pushed to (the tie-break of the
+  /// canonical ingestion order).
+  struct Handoff {
+    des::SimTime t = 0;
+    MsgRec rec;
+    std::uint32_t seq = 0;
+  };
+
   ShardWorld(const Config& cfg, const fabric::Partition& part,
              std::size_t shard, ShardedEngine* parent);
 
@@ -100,8 +127,9 @@ class ShardWorld {
   /// owned crashes.
   void init();
 
-  /// Window prologue: drains this shard's inbound channels and sorts the
-  /// handoffs into canonical (t, src, phase, kind, seq) order.  A run
+  /// Window prologue: copies and clears the mailboxes the other shards
+  /// filled for this shard during the previous window, and sorts the
+  /// handoffs into canonical (t, src, phase, kind, push order).  A run
   /// without faults folds each payload into its receiver; a run with
   /// faults schedules each handoff as an engine event.
   void begin_window();
@@ -131,24 +159,6 @@ class ShardWorld {
   void note_window_ns(std::uint64_t ns) { window_ns_.record(ns); }
 
  private:
-  enum class Kind : std::uint8_t {
-    kPayload = 0,  // matches fabric::HandoffKind
-    kNack = 1,     // matches fabric::HandoffKind
-    kPhaseStart = 2,
-    kCrash = 3,
-  };
-
-  /// One scheduled delivery/control event, captured by value in the event's
-  /// callback together with the world pointer.
-  struct MsgRec {
-    std::uint32_t src = 0;    ///< global rank (payload sender / NACK origin)
-    std::uint32_t dst = 0;    ///< local rank index on this shard
-    std::uint32_t phase = 0;
-    Kind kind = Kind::kPayload;
-    std::uint8_t status = 0;
-    std::uint8_t lane = 0;
-  };
-
   /// Arrivals for a (local_rank, phase) at least two phases ahead.
   struct Parked {
     des::SimTime ready = 0;
@@ -182,9 +192,7 @@ class ShardWorld {
   void route(des::SimTime t, std::uint32_t src_g, std::uint32_t dst_g,
              Kind kind, std::uint8_t status, std::uint8_t lane,
              std::uint32_t phase);
-  void schedule_rec(des::SimTime t, std::uint32_t src_g,
-                    std::uint32_t dst_local, Kind kind, std::uint8_t status,
-                    std::uint8_t lane, std::uint32_t phase);
+  void schedule(des::SimTime t, const MsgRec& rec);
 
   PhaseInfo phase_info(std::uint32_t p) const;
   des::SimTime gap_before(std::uint32_t next_p) const;
@@ -214,8 +222,9 @@ class ShardWorld {
   des::Engine engine_;
   std::vector<RankState> ranks_;
   support::FlatMap64<Parked> parked_;
-  std::vector<fabric::ShardHandoff> scratch_;
+  std::vector<Handoff> scratch_;
 
+  std::uint64_t window_ = 0;     ///< windows begun; picks the mailbox side
   des::SimTime cur_until_ = -1;  ///< current window's inclusive bound
   des::SimTime out_min_ = des::Engine::kNoEventTime;
 

@@ -66,8 +66,8 @@ void ShardWorld::init() {
       r.flags |= RankState::kFinished;
       continue;
     }
-    schedule_rec(0, g, static_cast<std::uint32_t>(lr), Kind::kPhaseStart, 0, 0,
-                 0);
+    schedule(0, MsgRec{g, static_cast<std::uint32_t>(lr), 0, Kind::kPhaseStart,
+                       0, 0});
   }
   // Crashes are scheduled at init so their engine sequence numbers precede
   // every delivery scheduled during the run: at a shared tick the crash
@@ -77,33 +77,41 @@ void ShardWorld::init() {
     if (part_.shard_of(f.rank) != shard_) continue;
     const des::SimTime t =
         std::max<des::SimTime>(des::from_seconds(f.time_s), 0);
-    schedule_rec(t, f.rank, f.rank - first_, Kind::kCrash, 0, 0, 0);
+    schedule(t, MsgRec{f.rank, f.rank - first_, 0, Kind::kCrash, 0, 0});
   }
 }
 
 void ShardWorld::begin_window() {
   out_min_ = des::Engine::kNoEventTime;
   scratch_.clear();
-  parent_->drain_into(shard_, scratch_);
+  // The other shards filled these mailboxes during the previous window and
+  // fill the other side during this one; the window barrier orders the two.
+  for (std::size_t src = 0; src < part_.shards; ++src) {
+    if (src == shard_) continue;
+    std::vector<Handoff>& box = parent_->mailbox(src, shard_, window_);
+    scratch_.insert(scratch_.end(), box.begin(), box.end());
+    box.clear();
+  }
+  ++window_;
   drain_batch_.record(scratch_.size());
   // Canonical ingestion order: arrival effects commute, but sorting makes
   // the fold order (no faults) or the engine's (t, seq) order (faults)
   // itself shard-independent — belt and braces for the determinism
-  // contract.
+  // contract.  Handoffs that tie up to `kind` share a sender rank, hence
+  // a mailbox, so `seq` is their push order.
   std::sort(scratch_.begin(), scratch_.end(),
-            [](const fabric::ShardHandoff& a, const fabric::ShardHandoff& b) {
-              return std::tie(a.t, a.src, a.phase, a.kind, a.seq) <
-                     std::tie(b.t, b.src, b.phase, b.kind, b.seq);
+            [](const Handoff& a, const Handoff& b) {
+              return std::tie(a.t, a.rec.src, a.rec.phase, a.rec.kind,
+                              a.seq) < std::tie(b.t, b.rec.src, b.rec.phase,
+                                                b.rec.kind, b.seq);
             });
-  for (const fabric::ShardHandoff& h : scratch_) {
+  for (const Handoff& h : scratch_) {
     POLARIS_CHECK_MSG(h.t > cur_until_,
                       "handoff violated the lookahead window");
     if (arrival_events_) {
-      schedule_rec(h.t, h.src, h.dst - first_, static_cast<Kind>(h.kind),
-                   h.status, h.lane, h.phase);
+      schedule(h.t, h.rec);
     } else {
-      fold(h.t, MsgRec{h.src, h.dst - first_, h.phase, Kind::kPayload, 0,
-                       h.lane});
+      fold(h.t, h.rec);
     }
   }
 }
@@ -253,8 +261,8 @@ void ShardWorld::check_complete(std::uint32_t lr) {
     r.flags |= RankState::kFinished;
     return;
   }
-  schedule_rec(at + gap_before(r.phase), first_ + lr, lr, Kind::kPhaseStart,
-               0, 0, r.phase);
+  schedule(at + gap_before(r.phase),
+           MsgRec{first_ + lr, lr, r.phase, Kind::kPhaseStart, 0, 0});
 }
 
 void ShardWorld::send_msg(std::uint32_t src_g, std::uint32_t dst_g,
@@ -279,36 +287,27 @@ void ShardWorld::route(des::SimTime t, std::uint32_t src_g,
                        std::uint32_t dst_g, Kind kind, std::uint8_t status,
                        std::uint8_t lane, std::uint32_t phase) {
   const std::size_t ds = part_.shard_of(dst_g);
+  const MsgRec rec{src_g, dst_g - part_.first_node[ds], phase, kind, status,
+                   lane};
   if (ds == shard_) {
     ++msgs_intra_;
     if (arrival_events_) {
-      schedule_rec(t, src_g, dst_g - first_, kind, status, lane, phase);
+      schedule(t, rec);
     } else {
-      fold(t, MsgRec{src_g, dst_g - first_, phase, kind, status, lane});
+      fold(t, rec);
     }
     return;
   }
   // The lookahead guarantee: any cross-shard effect is at least one full
   // min-cut path latency in the future, i.e. beyond this window.
   POLARIS_CHECK_MSG(t > cur_until_, "cross-shard send inside the window");
-  fabric::ShardHandoff h;
-  h.t = t;
-  h.src = src_g;
-  h.dst = dst_g;
-  h.phase = phase;
-  h.kind = static_cast<std::uint8_t>(kind);
-  h.status = status;
-  h.lane = lane;
-  parent_->push_handoff(shard_, ds, h);
+  std::vector<Handoff>& box = parent_->mailbox(shard_, ds, window_);
+  box.push_back({t, rec, static_cast<std::uint32_t>(box.size())});
   if (t < out_min_) out_min_ = t;
   ++msgs_cross_;
 }
 
-void ShardWorld::schedule_rec(des::SimTime t, std::uint32_t src_g,
-                              std::uint32_t dst_local, Kind kind,
-                              std::uint8_t status, std::uint8_t lane,
-                              std::uint32_t phase) {
-  const MsgRec rec{src_g, dst_local, phase, kind, status, lane};
+void ShardWorld::schedule(des::SimTime t, const MsgRec& rec) {
   auto deliver = [this, rec] { dispatch(rec); };
   static_assert(sizeof(deliver) == 24 &&
                     std::is_trivially_copyable_v<decltype(deliver)>,

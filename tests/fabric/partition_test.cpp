@@ -36,14 +36,6 @@ TEST(Partition, ShardOfAgreesWithTheBlockTable) {
   }
 }
 
-TEST(Partition, CutPairCountExcludesWithinShardPairs) {
-  const auto p = make_block_partition(8, {}, fabrics::myrinet2000(), 2);
-  // 64 ordered pairs total, 2 blocks of 4 keep 16 each within-shard.
-  EXPECT_EQ(p.cut_host_pairs, 64u - 32u);
-  const auto one = make_block_partition(8, {}, fabrics::myrinet2000(), 1);
-  EXPECT_EQ(one.cut_host_pairs, 0u);
-}
-
 TEST(Partition, LookaheadComesFromTheMinCutPath) {
   const auto params = fabrics::myrinet2000();
   const auto torus = make_block_partition(64, {8, 8}, params, 4);
@@ -79,11 +71,6 @@ TEST(Partition, RejectsDegenerateShardCounts) {
                support::ContractViolation);
   EXPECT_THROW(make_block_partition(4, {}, fabrics::myrinet2000(), 5),
                support::ContractViolation);
-}
-
-TEST(ShardHandoff, IsAFixedSizeWireRecord) {
-  EXPECT_EQ(sizeof(ShardHandoff), 40u);
-  EXPECT_TRUE(std::is_trivially_copyable_v<ShardHandoff>);
 }
 
 }  // namespace

@@ -79,17 +79,33 @@ TEST(ShardInvariance, TinyComputeKeepsWindowsBusy) {
   expect_shard_invariant(cfg, {2, 5, 8});
 }
 
-TEST(ShardInvariance, TinyChannelCapacityForcesSpill) {
-  // A 2-deep ring overflows on every dense window; the spill path must be
-  // outcome-neutral because ingestion is canonically sorted.
-  Config cfg;
-  cfg.workload.kind = AppKind::kHalo;
-  cfg.workload.grid_w = 8;
-  cfg.workload.grid_h = 8;
-  cfg.workload.iters = 3;
-  cfg.workload.jitter = true;
-  cfg.channel_capacity = 2;
-  expect_shard_invariant(cfg, {2, 4, 8});
+TEST(Mailboxes, EveryHandoffIsIngestedExactlyOnce) {
+  // A mailbox side read twice or cleared unread shows here even when no
+  // hash can: a doubled halo arrival ORs a bit that is already set.
+  for (const AppKind kind : {AppKind::kHalo, AppKind::kAllreduce,
+                             AppKind::kCg}) {
+    for (const bool crash : {false, true}) {
+      for (const std::size_t s : {2, 4, 8}) {
+        Config cfg;
+        cfg.workload.kind = kind;
+        cfg.workload.grid_w = 12;
+        cfg.workload.grid_h = 9;
+        cfg.workload.iters = 4;
+        cfg.workload.jitter = true;
+        if (crash) cfg.faults.push_back({37, 60e-6});
+        cfg.shards = s;
+        const Result r = run(cfg);
+        SCOPED_TRACE(testing::Message()
+                     << "kind=" << static_cast<int>(kind)
+                     << " crash=" << crash << " shards=" << s);
+        EXPECT_GT(r.msgs_cross, 0u);
+        EXPECT_EQ(r.drain_batch.sum(), r.msgs_cross);
+        if (crash) {
+          EXPECT_GT(r.nacks, 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(WorkerInvariance, WorkerCountIsPureExecutionParameter) {
